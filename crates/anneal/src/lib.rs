@@ -27,10 +27,12 @@
 //! between steps captured as a plain-data [`AnnealCursor`] — the hook the
 //! resilience layer uses for checkpointing, deadlines and mid-run audits.
 //!
-//! [`anneal_parallel`] runs `K` replicas of a [`ReplicaProblem`]
-//! concurrently on `std::thread`s with periodic best-layout exchange at
-//! temperature boundaries — deterministic in `(seed, K)`, and bit-identical
-//! to the sequential engine at `K = 1`.
+//! [`anneal_replicas`] steps `K` replicas of a [`ReplicaProblem`] in
+//! lockstep — replica 0 on the calling thread, the rest on scoped
+//! `std::thread`s — with a caller-side [`Coordinator`] at every
+//! temperature boundary and periodic best-layout exchange. It is
+//! deterministic in `(seed, K)` and, at `K = 1`, the sequential engine
+//! itself; [`anneal_parallel`] is its plain run-to-the-end form.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,8 +45,8 @@ use rowfpga_obs::{Event, Obs, TemperatureRecord};
 mod parallel;
 
 pub use parallel::{
-    anneal_parallel, anneal_parallel_observed, replica_seed, ParallelConfig, ParallelOutcome,
-    ReplicaProblem, ReplicaReport,
+    anneal_parallel, anneal_replicas, replica_seed, Coordinator, ParallelConfig, ParallelOutcome,
+    ReplicaHooks, ReplicaProblem, ReplicaReport, ReplicaRun, ReplicaStatus, Verdict,
 };
 
 /// A combinatorial problem optimizable by the annealing engine.
@@ -179,7 +181,7 @@ impl AnnealConfig {
 /// Result of an annealing run.
 #[derive(Clone, Debug)]
 pub struct AnnealOutcome {
-    /// Temperatures executed (excluding warmup).
+    /// Temperatures executed over the whole run (excluding warmup).
     pub temperatures: usize,
     /// Total moves attempted (including warmup).
     pub total_moves: usize,
@@ -431,11 +433,12 @@ impl Annealer {
         Some(stats)
     }
 
-    /// Packages the run summary. `temperatures` counts this session's
-    /// history (identical to the whole run when the engine was not resumed).
+    /// Packages the run summary. `temperatures` and `total_moves` cover the
+    /// whole run, including any before a [`resume`](Self::resume); `history`
+    /// holds this session's temperatures only.
     pub fn outcome<P: AnnealProblem>(&self, problem: &P) -> AnnealOutcome {
         AnnealOutcome {
-            temperatures: self.history.len(),
+            temperatures: self.next_index,
             total_moves: self.total_moves,
             final_cost: problem.cost(),
             best_cost: self.best_cost,

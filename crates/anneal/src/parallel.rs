@@ -1,33 +1,31 @@
-//! Parallel multi-replica annealing.
+//! Multi-replica annealing: the one annealing loop.
 //!
-//! `K` independent replicas of the same problem anneal concurrently, each
-//! on its own thread with its own RNG stream (derived from the base seed
-//! by [`replica_seed`]), periodically pausing at a temperature boundary to
-//! exchange layouts: every replica publishes its current cost, the
-//! cheapest replica publishes its layout snapshot, and every strictly
-//! worse replica adopts it before continuing its own stochastic walk.
-//! This is the classic "parallel moves, serial exchange" recipe: replicas
-//! explore independently between exchanges, so wall-clock scales with
-//! thread count, while the exchange keeps the population anchored to the
-//! best basin found so far.
+//! `K` replicas of one problem anneal in lockstep, a temperature at a time,
+//! each with its own RNG stream ([`replica_seed`]). Replica 0 runs on the
+//! calling thread, so `K = 1` spawns nothing and is the sequential
+//! [`Annealer`] stepped one temperature at a time; replicas `1..K` run on
+//! scoped threads. Every temperature boundary is a rendezvous at a
+//! [`Barrier`]: each replica checks itself ([`ReplicaHooks::check_replica`])
+//! and publishes its status, and the [`Coordinator`], on the calling
+//! thread, decides whether the run stops and whether the replicas hand it
+//! their `(cursor, snapshot)` states. Every
+//! [`ParallelConfig::exchange_every`] temperatures each strictly worse,
+//! unfinished replica adopts the cheapest replica's layout ("parallel
+//! moves, serial exchange"). A boundary costs two barrier waits, and a
+//! third when states or a layout change hands.
 //!
-//! The run is **deterministic in `(seed, K)`**: every replica's trajectory
-//! is a pure function of its derived seed and the snapshots it adopts, and
-//! adoption decisions depend only on the deterministic per-replica costs —
-//! thread scheduling cannot reorder them because exchanges happen at a
-//! [`Barrier`]. A single-replica run (`K = 1`) executes on the calling
-//! thread and is bit-identical to the sequential [`Annealer`] driven with
-//! the same configuration.
-//!
-//! Problems never cross threads — each replica is built *inside* its
-//! thread by the caller's factory — so the problem type itself does not
-//! need to be [`Send`]; only its plain-data layout snapshot does.
+//! The run is **deterministic in `(seed, K)`**: every decision reads only
+//! what the replicas published before a barrier, so thread scheduling is
+//! unobservable. Problems never cross threads — each replica is built
+//! inside its own thread — so only the plain-data snapshot must be
+//! [`Send`].
 
-use std::sync::{Barrier, Mutex};
+use std::convert::Infallible;
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
 use rowfpga_obs::{Event, EventMeta, MetricsRegistry, Obs, PhaseProfiler, ReplaySink};
 
-use crate::{AnnealConfig, AnnealOutcome, AnnealProblem, Annealer};
+use crate::{AnnealConfig, AnnealCursor, AnnealOutcome, AnnealProblem, Annealer};
 
 /// An annealing problem that can participate in multi-replica exchange:
 /// its complete layout state can be exported as plain data and adopted by
@@ -39,9 +37,10 @@ pub trait ReplicaProblem: AnnealProblem {
     /// Exports the current layout state.
     fn snapshot(&self) -> Self::Snapshot;
 
-    /// Replaces this replica's layout state with `snapshot` (taken from a
-    /// replica of the *same* problem, so it always reconstructs).
-    fn adopt(&mut self, snapshot: &Self::Snapshot);
+    /// Replaces this replica's layout state with `snapshot`, taken from a
+    /// replica of the *same* problem. Returns `false`, and leaves this
+    /// replica untouched, if the snapshot does not reconstruct.
+    fn adopt(&mut self, snapshot: &Self::Snapshot) -> bool;
 }
 
 /// Configuration of the exchange cadence.
@@ -91,21 +90,462 @@ pub struct ParallelOutcome<S> {
     pub replicas: Vec<ReplicaReport>,
 }
 
-/// What each replica publishes at an exchange boundary.
-#[derive(Clone, Copy)]
-struct Published {
-    cost: f64,
-    finished: bool,
+/// What [`anneal_replicas`] returns: replica 0's problem, annealed in
+/// place, and the outcome, whose `best` holds the winner's final snapshot
+/// unless the winner is replica 0.
+pub type ReplicaRun<P> = (P, ParallelOutcome<Option<<P as ReplicaProblem>::Snapshot>>);
+
+/// How each replica starts and checks itself; shared with every replica
+/// thread, and called on the replica's own thread.
+pub trait ReplicaHooks<P: ReplicaProblem>: Sync {
+    /// An error that ends the run; the first one, in replica order, wins.
+    type Error: Send;
+    /// What a replica's check tells the coordinator.
+    type Report: Copy + Send;
+
+    /// Builds replica `replica`, journaling to `obs`: its problem and its
+    /// annealing schedule, fresh or resumed.
+    fn start_replica(&self, replica: usize, obs: &Obs) -> Result<(P, Annealer), Self::Error>;
+
+    /// A replica's own work right after it ran temperature `temp`.
+    fn check_replica(
+        &self,
+        temp: usize,
+        problem: &mut P,
+        obs: &Obs,
+    ) -> Result<Self::Report, Self::Error>;
 }
 
-/// What a replica thread hands back when it joins: its outcome, adoption
-/// count, final cost, final snapshot, and exchange rounds participated in.
-type ReplicaRun<S> = (AnnealOutcome, usize, f64, S, usize);
+/// One replica as the coordinator sees it at a temperature boundary.
+#[derive(Clone, Copy, Debug)]
+pub struct ReplicaStatus<R> {
+    /// The replica's current cost.
+    pub cost: f64,
+    /// Whether its schedule has terminated.
+    pub finished: bool,
+    /// Its check's report; `None` when it ran no temperature since the
+    /// previous boundary (every replica, before a run's first temperature).
+    pub report: Option<R>,
+}
 
-/// One replica's journal batch, keyed for the deterministic merge:
-/// `(round, replica, events)`. The final post-loop drain uses
-/// `round = u64::MAX` so it sorts after every exchange round.
-type JournalBatch = (u64, usize, Vec<(Event, EventMeta)>);
+/// The coordinator's decision at a temperature boundary.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Verdict {
+    /// End the run after this boundary.
+    pub stop: bool,
+    /// Every replica hands the coordinator its `(cursor, snapshot)` state.
+    pub share: bool,
+}
+
+/// The calling thread's side of a replica run; `()` runs every schedule to
+/// its end.
+pub trait Coordinator<S, R> {
+    /// Decides at boundary `temp`, given every replica's status. The run
+    /// also ends once every replica's schedule has terminated.
+    fn plan_boundary(&mut self, temp: usize, replicas: &[ReplicaStatus<R>]) -> Verdict;
+
+    /// Receives every replica's state, by replica, when the verdict shared.
+    fn receive_states(&mut self, temp: usize, states: Vec<(AnnealCursor, S)>);
+}
+
+impl<S, R> Coordinator<S, R> for () {
+    fn plan_boundary(&mut self, _: usize, _: &[ReplicaStatus<R>]) -> Verdict {
+        Verdict::default()
+    }
+
+    fn receive_states(&mut self, _: usize, _: Vec<(AnnealCursor, S)>) {}
+}
+
+/// What every replica does after a boundary's decision.
+#[derive(Clone, Copy, Default)]
+struct Plan {
+    verdict: Verdict,
+    /// The boundary is an exchange round (journaled even if no one adopts).
+    exchange: bool,
+    /// The cheapest replica (ties break to the lowest index) and its cost.
+    winner: usize,
+    winner_cost: f64,
+    /// How many replicas adopt the winner's layout.
+    adopters: usize,
+}
+
+impl Plan {
+    /// Whether replica `r`, published as `s`, adopts the winner's layout.
+    fn adopts<R>(&self, r: usize, s: &ReplicaStatus<R>) -> bool {
+        self.exchange
+            && !self.verdict.stop
+            && r != self.winner
+            && !s.finished
+            && s.cost.total_cmp(&self.winner_cost).is_gt()
+    }
+
+    /// Whether replica `r` offers its layout: to the adopters, or as the
+    /// run's final winner when that is not replica 0.
+    fn offers(&self, r: usize) -> bool {
+        r == self.winner && (self.adopters > 0 || (self.verdict.stop && r != 0))
+    }
+
+    /// Whether states or a layout change hands after the decision.
+    fn hands_over(&self) -> bool {
+        self.verdict.share || self.offers(self.winner)
+    }
+}
+
+/// One replica's journal events, as its own session buffered them.
+type Batch = Vec<(Event, EventMeta)>;
+
+/// A replica's place on the board; only that replica writes it.
+struct Slot<S, R> {
+    status: ReplicaStatus<R>,
+    /// Journal events since the last boundary (at the end: its tail).
+    batch: Batch,
+    state: Option<(AnnealCursor, S)>,
+    /// Its session's metrics and phase totals, left at the end.
+    session: Option<(MetricsRegistry, PhaseProfiler)>,
+}
+
+/// What the replicas share at a boundary, behind one lock.
+struct Board<S, R, E> {
+    slots: Vec<Slot<S, R>>,
+    error: Option<(usize, E)>,
+    plan: Plan,
+    exchanges: usize,
+}
+
+/// A poisoned lock means a replica thread panicked; that panic is re-raised
+/// at join, so the state behind the lock is still safe to read here.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Everything the replicas of one run share.
+struct Team<'h, P: ReplicaProblem, H: ReplicaHooks<P>> {
+    hooks: &'h H,
+    barrier: Barrier,
+    board: Mutex<Board<P::Snapshot, H::Report, H::Error>>,
+    /// The winner's layout, for the adopters or, at the end, the caller.
+    offer: Mutex<Option<P::Snapshot>>,
+    /// With `K > 1` and a recording caller, replicas journal into buffered
+    /// sessions that the coordinator merges at every boundary.
+    record: bool,
+    first_temp: usize,
+    exchange_every: usize,
+}
+
+impl<P: ReplicaProblem, H: ReplicaHooks<P>> Team<'_, P, H> {
+    /// Replica `replica`'s journal: a buffered session of its own (replica
+    /// id `replica + 1`) when the run records, else `fallback`.
+    fn replica_obs(&self, replica: usize, fallback: Obs) -> (Obs, Option<ReplaySink>) {
+        if !self.record {
+            return (fallback, None);
+        }
+        let buffer = ReplaySink::new();
+        let id = u32::try_from(replica + 1).unwrap_or(u32::MAX);
+        (Obs::for_replica(id, Box::new(buffer.clone())), Some(buffer))
+    }
+
+    /// Updates replica `replica`'s slot.
+    fn slot(&self, replica: usize, f: impl FnOnce(&mut Slot<P::Snapshot, H::Report>)) {
+        if let Some(slot) = lock(&self.board).slots.get_mut(replica) {
+            f(slot);
+        }
+    }
+
+    fn fail(&self, replica: usize, error: H::Error) {
+        let mut board = lock(&self.board);
+        if board.error.as_ref().is_none_or(|(r, _)| replica < *r) {
+            board.error = Some((replica, error));
+        }
+    }
+
+    /// Boundary `temp` up to the decision: wait until every replica has
+    /// published, let the coordinator decide, and read its plan.
+    fn meet<C: Coordinator<P::Snapshot, H::Report>>(
+        &self,
+        temp: usize,
+        coordinator: &mut Option<(&mut C, &Obs)>,
+    ) -> Plan {
+        self.barrier.wait();
+        if let Some((coord, caller)) = coordinator {
+            self.decide(&mut **coord, caller, temp);
+        }
+        self.barrier.wait();
+        lock(&self.board).plan
+    }
+
+    /// Replica `replica`'s loop; replica 0 also carries the coordinator and
+    /// the caller's journal.
+    fn anneal<C: Coordinator<P::Snapshot, H::Report>>(
+        &self,
+        replica: usize,
+        (mut problem, mut annealer): (P, Annealer),
+        obs: &Obs,
+        buffer: Option<&ReplaySink>,
+        mut coordinator: Option<(&mut C, &Obs)>,
+    ) -> (P, ReplicaReport) {
+        let (mut temp, mut report, mut adoptions) = (self.first_temp, None, 0);
+        loop {
+            let status = ReplicaStatus {
+                cost: problem.cost(),
+                finished: annealer.finished(),
+                report,
+            };
+            let batch = buffer.map(ReplaySink::drain).unwrap_or_default();
+            self.slot(replica, |s| (s.status, s.batch) = (status, batch));
+            let plan = self.meet(temp, &mut coordinator);
+            if plan.hands_over() {
+                if plan.verdict.share {
+                    let state = (annealer.cursor(), problem.snapshot());
+                    self.slot(replica, |s| s.state = Some(state));
+                }
+                if plan.offers(replica) {
+                    *lock(&self.offer) = Some(problem.snapshot());
+                }
+                self.barrier.wait();
+                if let (Some((coord, _)), true) = (coordinator.as_mut(), plan.verdict.share) {
+                    let mut board = lock(&self.board);
+                    let states = board.slots.iter_mut().filter_map(|s| s.state.take());
+                    let states = states.collect();
+                    drop(board);
+                    coord.receive_states(temp, states);
+                }
+                if plan.adopts(replica, &status) {
+                    // A snapshot that does not rebuild leaves the replica as
+                    // it was; only real adoptions count.
+                    match lock(&self.offer).as_ref().map(|s| problem.adopt(s)) {
+                        Some(true) => adoptions += 1,
+                        _ => obs.inc("exchange.adopt_failed"),
+                    }
+                }
+            }
+            if plan.verdict.stop {
+                break;
+            }
+            let stepped = annealer.step(&mut problem, obs).is_some();
+            temp += 1;
+            report = None;
+            if stepped {
+                match self.hooks.check_replica(temp, &mut problem, obs) {
+                    Ok(r) => report = Some(r),
+                    Err(e) => self.fail(replica, e),
+                }
+            }
+        }
+        if let Some(buffer) = buffer {
+            let session = obs.with_session(|s| {
+                let metrics = std::mem::take(&mut s.metrics);
+                (metrics, std::mem::take(&mut s.profiler))
+            });
+            self.slot(replica, |s| {
+                (s.batch, s.session) = (buffer.drain(), session)
+            });
+        }
+        let outcome = annealer.outcome(&problem);
+        (problem, ReplicaReport { outcome, adoptions })
+    }
+
+    /// The coordinator's turn at boundary `temp`: merge the replicas'
+    /// journal batches, then plan the rest of the boundary. An error raised
+    /// by any replica stops the run here, with nothing handed over.
+    fn decide<C: Coordinator<P::Snapshot, H::Report>>(
+        &self,
+        coordinator: &mut C,
+        caller: &Obs,
+        temp: usize,
+    ) {
+        let (status, batches, failed) = {
+            let mut board = lock(&self.board);
+            let status: Vec<_> = board.slots.iter().map(|s| s.status).collect();
+            let batches: Vec<Batch> = (board.slots.iter_mut())
+                .map(|s| std::mem::take(&mut s.batch))
+                .collect();
+            (status, batches, board.error.is_some())
+        };
+        merge(caller, &batches);
+        let mut plan = Plan::default();
+        plan.verdict.stop = true;
+        if !failed {
+            let verdict = coordinator.plan_boundary(temp, &status);
+            for (r, s) in status.iter().enumerate() {
+                if r == 0 || s.cost.total_cmp(&plan.winner_cost).is_lt() {
+                    (plan.winner, plan.winner_cost) = (r, s.cost);
+                }
+            }
+            let all_finished = status.iter().all(|s| s.finished);
+            plan.verdict = Verdict {
+                stop: verdict.stop || all_finished,
+                share: verdict.share,
+            };
+            plan.exchange = status.len() > 1
+                && temp > 0
+                && (temp.is_multiple_of(self.exchange_every) || all_finished);
+            let adopters = status.iter().enumerate();
+            plan.adopters = adopters.filter(|&(r, s)| plan.adopts(r, s)).count();
+            if plan.exchange {
+                caller.emit(Event::Exchange {
+                    round: (temp - 1) / self.exchange_every,
+                    winner: plan.winner,
+                    winner_cost: plan.winner_cost,
+                    adopted: plan.adopters,
+                });
+            }
+        }
+        let mut board = lock(&self.board);
+        board.plan = plan;
+        board.exchanges += usize::from(plan.exchange);
+    }
+}
+
+/// Replays replica journal batches into the caller's session, in order:
+/// sequence numbers are re-stamped, span ids and replica ids survive.
+fn merge<'b>(caller: &Obs, batches: impl IntoIterator<Item = &'b Batch>) {
+    caller.with_session(|s| {
+        for (event, meta) in batches.into_iter().flatten() {
+            s.emit_replayed(event, meta);
+        }
+    });
+}
+
+/// Anneals `replicas` replicas that `hooks` builds, from temperature
+/// boundary `first_temp` (0 for a fresh run), until every schedule has
+/// terminated or `coordinator` stops the run (see the module docs).
+///
+/// A single replica journals straight into `obs`. With `K > 1` and an
+/// enabled `obs`, replica `r` records into its own buffered session (replica
+/// id `r + 1`, span ids namespaced by `(r + 1) << 32`); the batches are
+/// merged into `obs` in replica order at every boundary, each exchange is
+/// journaled as one `exchange` event, and the replicas' metrics and phase
+/// totals are absorbed at the end, so the merged journal is a pure function
+/// of the inputs apart from wall-clock durations.
+///
+/// # Errors
+///
+/// Returns the first error, in replica order, that a replica raised while
+/// starting or checking itself; the run ends at that boundary.
+pub fn anneal_replicas<P, H, C>(
+    hooks: &H,
+    coordinator: &mut C,
+    replicas: usize,
+    first_temp: usize,
+    par: &ParallelConfig,
+    obs: &Obs,
+) -> Result<ReplicaRun<P>, H::Error>
+where
+    P: ReplicaProblem,
+    H: ReplicaHooks<P>,
+    C: Coordinator<P::Snapshot, H::Report>,
+{
+    let replicas = replicas.max(1);
+    let idle = |_| Slot {
+        status: ReplicaStatus {
+            cost: f64::INFINITY,
+            finished: true,
+            report: None,
+        },
+        batch: Vec::new(),
+        state: None,
+        session: None,
+    };
+    let team = Team {
+        hooks,
+        barrier: Barrier::new(replicas),
+        board: Mutex::new(Board {
+            slots: (0..replicas).map(idle).collect(),
+            error: None,
+            plan: Plan::default(),
+            exchanges: 0,
+        }),
+        offer: Mutex::new(None),
+        record: replicas > 1 && obs.enabled(),
+        first_temp,
+        exchange_every: par.exchange_every.max(1),
+    };
+    let (obs0, buffer0) = team.replica_obs(0, obs.clone());
+    let live = hooks.start_replica(0, &obs0)?;
+    let ((problem, first), others) = std::thread::scope(|scope| {
+        let team = &team;
+        let handles: Vec<_> = (1..replicas)
+            .map(|r| {
+                scope.spawn(move || {
+                    let (obs, buffer) = team.replica_obs(r, Obs::disabled());
+                    match team.hooks.start_replica(r, &obs) {
+                        Ok(live) => Some(team.anneal::<C>(r, live, &obs, buffer.as_ref(), None).1),
+                        Err(e) => {
+                            // Sit out the first boundary, where the error
+                            // stops the run.
+                            team.fail(r, e);
+                            if team.meet::<C>(first_temp, &mut None).hands_over() {
+                                team.barrier.wait();
+                            }
+                            None
+                        }
+                    }
+                })
+            })
+            .collect();
+        let zero = team.anneal(0, live, &obs0, buffer0.as_ref(), Some((coordinator, obs)));
+        let others: Vec<Option<ReplicaReport>> = handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect();
+        (zero, others)
+    });
+
+    let board = team
+        .board
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    if team.record {
+        merge(obs, board.slots.iter().map(|s| &s.batch));
+        obs.with_session(|s| {
+            for (metrics, profiler) in board.slots.iter().filter_map(|s| s.session.as_ref()) {
+                s.metrics.absorb(metrics);
+                s.profiler.absorb(profiler);
+            }
+        });
+    }
+    if let Some((_, error)) = board.error {
+        return Err(error);
+    }
+    let winner = board.plan.winner;
+    let outcome = ParallelOutcome {
+        best_replica: winner,
+        best: (team.offer.into_inner())
+            .unwrap_or_else(PoisonError::into_inner)
+            .filter(|_| winner != 0),
+        best_cost: board.plan.winner_cost,
+        exchanges: board.exchanges,
+        replicas: std::iter::once(first)
+            .chain(others.into_iter().flatten())
+            .collect(),
+    };
+    Ok((problem, outcome))
+}
+
+/// Builds every replica fresh from a factory; replicas check nothing.
+struct Fresh<'c, F> {
+    factory: F,
+    config: &'c AnnealConfig,
+}
+
+impl<P: ReplicaProblem, F: Fn(usize) -> P + Sync> ReplicaHooks<P> for Fresh<'_, F> {
+    type Error = Infallible;
+    type Report = ();
+
+    fn start_replica(&self, replica: usize, obs: &Obs) -> Result<(P, Annealer), Infallible> {
+        let mut problem = (self.factory)(replica);
+        let config = AnnealConfig {
+            seed: replica_seed(self.config.seed, replica),
+            ..self.config.clone()
+        };
+        let annealer = Annealer::start(&mut problem, &config, obs);
+        Ok((problem, annealer))
+    }
+
+    fn check_replica(&self, _: usize, _: &mut P, _: &Obs) -> Result<(), Infallible> {
+        Ok(())
+    }
+}
 
 /// Runs `replicas` annealing replicas of the problem `factory` builds,
 /// exchanging best layouts every [`ParallelConfig::exchange_every`]
@@ -115,11 +555,6 @@ type JournalBatch = (u64, usize, Vec<(Event, EventMeta)>);
 ///
 /// Deterministic in `(config, replicas)`; `replicas == 1` runs on the
 /// calling thread and is bit-identical to the sequential [`Annealer`].
-///
-/// # Panics
-///
-/// Panics if `replicas == 0` or a replica thread panics (the panic is
-/// propagated).
 pub fn anneal_parallel<P, F>(
     factory: F,
     replicas: usize,
@@ -130,291 +565,14 @@ where
     P: ReplicaProblem,
     F: Fn(usize) -> P + Sync,
 {
-    anneal_parallel_observed(factory, replicas, config, par, &Obs::disabled())
-}
-
-/// [`anneal_parallel`] with per-replica observability.
-///
-/// With an enabled `obs`, a single replica anneals directly against the
-/// caller's session (fully live journal; the RNG stream is untouched, so
-/// the bit-identical contract with the sequential [`Annealer`] holds).
-/// With `K > 1`, each replica thread records into its own buffered
-/// session — events stamped with replica id `r + 1` and span ids
-/// namespaced by `(r + 1) << 32` — and the batches are drained at every
-/// exchange barrier, then merged into the caller's journal in
-/// `(round, replica)` order after the threads join. One `exchange` event
-/// is emitted per round, and every replica's metrics and phase totals are
-/// absorbed into the caller's registry, so the merged journal and final
-/// report are pure functions of `(config, replicas)` apart from wall-clock
-/// durations.
-pub fn anneal_parallel_observed<P, F>(
-    factory: F,
-    replicas: usize,
-    config: &AnnealConfig,
-    par: &ParallelConfig,
-    obs: &Obs,
-) -> ParallelOutcome<P::Snapshot>
-where
-    P: ReplicaProblem,
-    F: Fn(usize) -> P + Sync,
-{
-    assert!(replicas > 0, "at least one replica");
-    let exchange_every = par.exchange_every.max(1);
-
-    // K = 1: the sequential engine on the calling thread, verbatim, with
-    // the caller's own (possibly live-streaming) session.
-    if replicas == 1 {
-        let cfg = AnnealConfig {
-            seed: replica_seed(config.seed, 0),
-            ..config.clone()
-        };
-        let mut problem = factory(0);
-        let mut engine = Annealer::start(&mut problem, &cfg, obs);
-        while engine.step(&mut problem, obs).is_some() {}
-        let outcome = engine.outcome(&problem);
-        let best_cost = outcome.final_cost;
-        return ParallelOutcome {
-            best_replica: 0,
-            best: problem.snapshot(),
-            best_cost,
-            exchanges: 0,
-            replicas: vec![ReplicaReport {
-                outcome,
-                adoptions: 0,
-            }],
-        };
-    }
-
-    /// A poisoned mutex means a replica thread panicked; that panic is
-    /// re-raised at join, so the journal/metrics state behind the lock is
-    /// still safe to read here.
-    fn lock_ignoring_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-        m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    let record = obs.enabled();
-    let barrier = Barrier::new(replicas);
-    let published = Mutex::new(vec![
-        Published {
-            cost: f64::INFINITY,
-            finished: false,
-        };
-        replicas
-    ]);
-    let best_slot: Mutex<Option<P::Snapshot>> = Mutex::new(None);
-    // Journal batches drained at exchange barriers, exchange summaries
-    // (computed once per round by replica 0), and each replica's final
-    // metrics/profiler, all shipped back for the deterministic merge.
-    let journal_batches: Mutex<Vec<JournalBatch>> = Mutex::new(Vec::new());
-    let exchange_log: Mutex<Vec<(usize, usize, f64, usize)>> = Mutex::new(Vec::new());
-    let replica_metrics: Mutex<Vec<(usize, MetricsRegistry, PhaseProfiler)>> =
-        Mutex::new(Vec::new());
-
-    let mut results: Vec<Option<ReplicaRun<P::Snapshot>>> = (0..replicas).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(replicas);
-        for r in 0..replicas {
-            let factory = &factory;
-            let barrier = &barrier;
-            let published = &published;
-            let best_slot = &best_slot;
-            let journal_batches = &journal_batches;
-            let exchange_log = &exchange_log;
-            let replica_metrics = &replica_metrics;
-            handles.push(scope.spawn(move || {
-                // The session layer is Rc-based and must be built inside
-                // the thread; the ReplaySink handle lets this thread drain
-                // its own buffer at each barrier.
-                let (obs, buffer) = if record {
-                    let buffer = ReplaySink::new();
-                    (
-                        Obs::for_replica(r as u32 + 1, Box::new(buffer.clone())),
-                        Some(buffer),
-                    )
-                } else {
-                    (Obs::disabled(), None)
-                };
-                let cfg = AnnealConfig {
-                    seed: replica_seed(config.seed, r),
-                    ..config.clone()
-                };
-                let mut problem = factory(r);
-                let mut engine = Annealer::start(&mut problem, &cfg, &obs);
-                let mut adoptions = 0usize;
-                let mut rounds = 0usize;
-                loop {
-                    for _ in 0..exchange_every {
-                        if engine.step(&mut problem, &obs).is_none() {
-                            break;
-                        }
-                    }
-                    let my_cost = problem.cost();
-                    published.lock().unwrap()[r] = Published {
-                        cost: my_cost,
-                        finished: engine.finished(),
-                    };
-                    barrier.wait();
-                    // Every replica derives the same winner from the same
-                    // published costs (strict `<` keeps the lowest index
-                    // on ties).
-                    let (winner, winner_cost, all_finished) = {
-                        let pubs = published.lock().unwrap();
-                        let mut w = 0usize;
-                        for (i, p) in pubs.iter().enumerate().skip(1) {
-                            if p.cost.total_cmp(&pubs[w].cost).is_lt() {
-                                w = i;
-                            }
-                        }
-                        if r == 0 && record {
-                            // Adoption is a pure function of the published
-                            // costs, so one replica can log the round for
-                            // everyone.
-                            let adopted = pubs
-                                .iter()
-                                .enumerate()
-                                .filter(|&(i, p)| {
-                                    i != w && !p.finished && p.cost.total_cmp(&pubs[w].cost).is_gt()
-                                })
-                                .count();
-                            lock_ignoring_poison(exchange_log).push((
-                                rounds,
-                                w,
-                                pubs[w].cost,
-                                adopted,
-                            ));
-                        }
-                        (w, pubs[w].cost, pubs.iter().all(|p| p.finished))
-                    };
-                    if r == winner {
-                        *best_slot.lock().unwrap() = Some(problem.snapshot());
-                    }
-                    barrier.wait();
-                    if r != winner && !engine.finished() && my_cost.total_cmp(&winner_cost).is_gt()
-                    {
-                        let slot = best_slot.lock().unwrap();
-                        problem.adopt(slot.as_ref().expect("winner published a snapshot"));
-                        adoptions += 1;
-                    }
-                    if let Some(buffer) = &buffer {
-                        let batch = buffer.drain();
-                        if !batch.is_empty() {
-                            lock_ignoring_poison(journal_batches).push((rounds as u64, r, batch));
-                        }
-                    }
-                    rounds += 1;
-                    // Hold every replica until adoptions are done, so the
-                    // winner cannot overwrite the slot next round while a
-                    // loser still reads it.
-                    barrier.wait();
-                    if all_finished {
-                        break;
-                    }
-                }
-                let outcome = engine.outcome(&problem);
-                let final_cost = outcome.final_cost;
-                if let Some(buffer) = &buffer {
-                    let tail = buffer.drain();
-                    if !tail.is_empty() {
-                        lock_ignoring_poison(journal_batches).push((u64::MAX, r, tail));
-                    }
-                    obs.with_session(|s| {
-                        lock_ignoring_poison(replica_metrics).push((
-                            r,
-                            std::mem::take(&mut s.metrics),
-                            std::mem::take(&mut s.profiler),
-                        ));
-                    });
-                }
-                (outcome, adoptions, final_cost, problem.snapshot(), rounds)
-            }));
-        }
-        for (r, handle) in handles.into_iter().enumerate() {
-            results[r] = Some(match handle.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            });
-        }
-    });
-
-    if record {
-        // Deterministic merge: batches ordered by (round, replica), with
-        // each round's exchange summary emitted after the round's events.
-        // Sequence numbers are re-stamped by the caller's session; span
-        // ids and replica attribution survive verbatim.
-        let mut batches = journal_batches
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        batches.sort_by_key(|&(round, replica, _)| (round, replica));
-        let mut exchange_rounds = exchange_log
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        exchange_rounds.sort_unstable_by_key(|&(round, ..)| round);
-        let mut exchange_iter = exchange_rounds.into_iter().peekable();
-        obs.with_session(|s| {
-            let mut last_round: Option<u64> = None;
-            for (round, _, batch) in &batches {
-                if let Some(done) = last_round.filter(|&done| done != *round) {
-                    while let Some(&(er, winner, cost, adopted)) = exchange_iter.peek() {
-                        if er as u64 > done {
-                            break;
-                        }
-                        exchange_iter.next();
-                        s.emit(&Event::Exchange {
-                            round: er,
-                            winner,
-                            winner_cost: cost,
-                            adopted,
-                        });
-                    }
-                }
-                last_round = Some(*round);
-                for (event, meta) in batch {
-                    s.emit_replayed(event, meta);
-                }
-            }
-            for (round, winner, cost, adopted) in exchange_iter {
-                s.emit(&Event::Exchange {
-                    round,
-                    winner,
-                    winner_cost: cost,
-                    adopted,
-                });
-            }
-        });
-        let mut merged = replica_metrics
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        merged.sort_by_key(|&(r, ..)| r);
-        obs.with_session(|s| {
-            for (_, metrics, profiler) in &merged {
-                s.metrics.absorb(metrics);
-                s.profiler.absorb(profiler);
-            }
-        });
-    }
-
-    let mut best_replica = 0usize;
-    let mut exchanges = 0usize;
-    let mut reports = Vec::with_capacity(replicas);
-    let mut snapshots = Vec::with_capacity(replicas);
-    let mut costs = Vec::with_capacity(replicas);
-    for (r, slot) in results.into_iter().enumerate() {
-        let (outcome, adoptions, final_cost, snapshot, rounds) =
-            slot.expect("every replica joined");
-        reports.push(ReplicaReport { outcome, adoptions });
-        snapshots.push(Some(snapshot));
-        costs.push(final_cost);
-        if costs[r].total_cmp(&costs[best_replica]).is_lt() {
-            best_replica = r;
-        }
-        exchanges = rounds;
-    }
+    let hooks = Fresh { factory, config };
+    let Ok((problem, out)) = anneal_replicas(&hooks, &mut (), replicas, 0, par, &Obs::disabled());
     ParallelOutcome {
-        best_replica,
-        best: snapshots[best_replica].take().expect("snapshot present"),
-        best_cost: costs[best_replica],
-        exchanges,
-        replicas: reports,
+        best: out.best.unwrap_or_else(|| problem.snapshot()),
+        best_replica: out.best_replica,
+        best_cost: out.best_cost,
+        exchanges: out.exchanges,
+        replicas: out.replicas,
     }
 }
 
@@ -431,6 +589,8 @@ mod tests {
     struct Toy {
         x: Vec<i64>,
         target: Vec<i64>,
+        /// Whether `adopt` takes the offered layout.
+        accepts: bool,
     }
 
     impl Toy {
@@ -438,6 +598,7 @@ mod tests {
             Toy {
                 x: vec![0; n],
                 target: (0..n as i64).collect(),
+                accepts: true,
             }
         }
         fn cost_of(&self) -> f64 {
@@ -478,8 +639,11 @@ mod tests {
             self.x.clone()
         }
 
-        fn adopt(&mut self, snapshot: &Vec<i64>) {
-            self.x.clone_from(snapshot);
+        fn adopt(&mut self, snapshot: &Vec<i64>) -> bool {
+            if self.accepts {
+                self.x.clone_from(snapshot);
+            }
+            self.accepts
         }
     }
 
@@ -493,6 +657,24 @@ mod tests {
 
     fn run(seed: u64, k: usize) -> ParallelOutcome<Vec<i64>> {
         anneal_parallel(|_| Toy::new(8), k, &cfg(seed), &ParallelConfig::default())
+    }
+
+    /// A fresh `k`-replica run of 8-element toys, journaled to `obs`.
+    fn observed(seed: u64, k: usize, obs: &Obs) -> ParallelOutcome<Vec<i64>> {
+        let config = cfg(seed);
+        let hooks = Fresh {
+            factory: |_| Toy::new(8),
+            config: &config,
+        };
+        let par = ParallelConfig::default();
+        let Ok((problem, out)) = anneal_replicas(&hooks, &mut (), k, 0, &par, obs);
+        ParallelOutcome {
+            best: out.best.unwrap_or_else(|| problem.snapshot()),
+            best_replica: out.best_replica,
+            best_cost: out.best_cost,
+            exchanges: out.exchanges,
+            replicas: out.replicas,
+        }
     }
 
     #[test]
@@ -580,15 +762,7 @@ mod tests {
         let observed_run = |seed: u64, k: usize| {
             let ring = rowfpga_obs::RingSink::new(1 << 16);
             let obs = Obs::with_sink(Box::new(ring.clone()));
-            let out = obs.span("anneal", || {
-                anneal_parallel_observed(
-                    |_| Toy::new(8),
-                    k,
-                    &cfg(seed),
-                    &ParallelConfig::default(),
-                    &obs,
-                )
-            });
+            let out = obs.span("anneal", || observed(seed, k, &obs));
             (out, ring.snapshot())
         };
 
@@ -637,13 +811,7 @@ mod tests {
     fn observed_parallel_merges_replica_metrics() {
         let ring = rowfpga_obs::RingSink::new(1 << 16);
         let obs = Obs::with_sink(Box::new(ring.clone()));
-        let out = anneal_parallel_observed(
-            |_| Toy::new(8),
-            2,
-            &cfg(7),
-            &ParallelConfig::default(),
-            &obs,
-        );
+        let out = observed(7, 2, &obs);
         let total_moves: usize = out.replicas.iter().map(|r| r.outcome.total_moves).sum();
         let counted = obs
             .with_session(|s| {
@@ -656,6 +824,65 @@ mod tests {
             .unwrap()
             .unwrap_or(0);
         assert!(temp_calls > 0, "replica phase totals absorbed");
+    }
+
+    #[test]
+    fn a_refused_adoption_is_counted_as_a_failure_not_an_adoption() {
+        let ring = rowfpga_obs::RingSink::new(1 << 16);
+        let obs = Obs::with_sink(Box::new(ring.clone()));
+        let config = cfg(9);
+        let hooks = Fresh {
+            factory: |_| Toy {
+                accepts: false,
+                ..Toy::new(8)
+            },
+            config: &config,
+        };
+        let par = ParallelConfig::default();
+        let Ok((_, out)) = anneal_replicas(&hooks, &mut (), 3, 0, &par, &obs);
+        assert!(out.replicas.iter().all(|r| r.adoptions == 0));
+        let planned: u64 = ring
+            .snapshot()
+            .iter()
+            .map(|l| rowfpga_obs::json::parse(l).unwrap())
+            .filter(|d| d.get("event").and_then(rowfpga_obs::Json::as_str) == Some("exchange"))
+            .filter_map(|d| d.get("adopted").and_then(rowfpga_obs::Json::as_u64))
+            .sum();
+        assert!(planned > 0, "the exchanges planned adoptions");
+        let failed = obs.with_session(|s| s.metrics.counter("exchange.adopt_failed"));
+        assert_eq!(failed, Some(planned));
+    }
+
+    /// Fails to build replica `bad`; the others anneal toys.
+    struct FailingStart {
+        bad: usize,
+    }
+
+    impl ReplicaHooks<Toy> for FailingStart {
+        type Error = usize;
+        type Report = ();
+
+        fn start_replica(&self, replica: usize, obs: &Obs) -> Result<(Toy, Annealer), usize> {
+            if replica == self.bad {
+                return Err(replica);
+            }
+            let mut toy = Toy::new(8);
+            let annealer = Annealer::start(&mut toy, &cfg(3), obs);
+            Ok((toy, annealer))
+        }
+
+        fn check_replica(&self, _: usize, _: &mut Toy, _: &Obs) -> Result<(), usize> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_replica_that_fails_to_start_ends_the_run_with_its_error() {
+        let par = ParallelConfig::default();
+        for (k, bad) in [(1, 0), (2, 0), (2, 1), (3, 2)] {
+            let run = anneal_replicas(&FailingStart { bad }, &mut (), k, 0, &par, &Obs::disabled());
+            assert_eq!(run.err(), Some(bad), "K={k}, replica {bad} fails");
+        }
     }
 
     #[test]

@@ -62,8 +62,9 @@ impl ReplicaProblem for Toy {
         self.x.clone()
     }
 
-    fn adopt(&mut self, snapshot: &Vec<i64>) {
+    fn adopt(&mut self, snapshot: &Vec<i64>) -> bool {
         self.x.clone_from(snapshot);
+        true
     }
 }
 

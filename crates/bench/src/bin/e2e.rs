@@ -140,7 +140,7 @@ fn main() {
             let tool = SimultaneousPlaceRoute::new(cfg);
             let start = Instant::now();
             let result = tool
-                .run_parallel(&arch, nl, name, &Obs::disabled())
+                .run_observed(&arch, nl, name, &Obs::disabled())
                 .expect("benchmark design lays out");
             let wall = start.elapsed().as_secs_f64();
             println!(

@@ -389,11 +389,12 @@ USAGE:
 PARALLELISM (simultaneous flow only):
   --threads N|auto anneal N independent replicas on N threads, exchanging
                    the best layout at temperature boundaries; deterministic
-                   for a fixed (seed, N), and N=1 is bit-identical to the
-                   sequential engine (incompatible with resilience flags).
-                   `auto` caps the replica count at the host's cores; an
-                   explicit N above that runs anyway with a journaled
-                   `oversubscribed` warning
+                   for a fixed (seed, N), and N=1 is the sequential engine.
+                   Works with every resilience flag: checkpoints hold all N
+                   replicas, and a resume needs the same N. `auto` caps the
+                   replica count at the host's cores; an explicit N above
+                   that runs anyway with a journaled `oversubscribed`
+                   warning
 
 OBSERVABILITY:
   --journal DEST   write a structured JSONL run journal (schema header,
@@ -630,16 +631,6 @@ fn parse_common(args: &[String]) -> Result<(CommonOpts, Vec<String>), ArgError> 
                 detail: "`--threads` requires the simultaneous flow; the sequential \
                          baseline anneals placement only (drop `--flow seq`)"
                     .into(),
-            });
-        }
-    }
-    if opts.threads.may_be_parallel() {
-        if let Some(flag) = opts.resilience_flag() {
-            return Err(ArgError::Conflict {
-                detail: format!(
-                    "`{flag}` is not supported with `--threads`; parallel replicas \
-                     have no checkpoint/audit support yet (drop `--threads`)"
-                ),
             });
         }
     }
@@ -1317,7 +1308,7 @@ mod tests {
             parse_args(&v(&["layout", "d.net", "--flow", "seq", "--threads", "2"])).unwrap_err(),
             ArgError::Conflict { .. }
         ));
-        // Parallel replicas do not checkpoint/audit (yet).
+        // Every resilience flag combines with any replica count.
         for flag in [
             &["--checkpoint", "ck.json"][..],
             &["--resume", "ck.json"][..],
@@ -1325,38 +1316,15 @@ mod tests {
             &["--audit-every", "2"][..],
             &["--temp-budget", "9"][..],
         ] {
-            let mut args = v(&["layout", "d.net", "--threads", "2"]);
-            args.extend(flag.iter().map(|s| s.to_string()));
-            let err = parse_args(&args).unwrap_err();
-            assert!(
-                matches!(&err, ArgError::Conflict { detail } if detail.contains(flag[0])),
-                "{flag:?} with --threads must conflict, got {err:?}"
-            );
+            for threads in ["1", "2", "auto"] {
+                let mut args = v(&["layout", "d.net", "--threads", threads]);
+                args.extend(flag.iter().map(|s| s.to_string()));
+                assert!(
+                    parse_args(&args).is_ok(),
+                    "{flag:?} with --threads {threads}"
+                );
+            }
         }
-        // --threads 1 is the sequential engine; resilience still works.
-        assert!(parse_args(&v(&[
-            "layout",
-            "d.net",
-            "--threads",
-            "1",
-            "--checkpoint",
-            "ck.json"
-        ]))
-        .is_ok());
-        // `auto` may resolve to >1 replica, so the same conflicts apply
-        // regardless of the host this parse runs on.
-        assert!(matches!(
-            parse_args(&v(&[
-                "layout",
-                "d.net",
-                "--threads",
-                "auto",
-                "--deadline",
-                "5"
-            ]))
-            .unwrap_err(),
-            ArgError::Conflict { .. }
-        ));
         assert!(matches!(
             parse_args(&v(&[
                 "layout",

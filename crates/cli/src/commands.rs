@@ -177,8 +177,7 @@ fn run_layout(
             cfg.resilience.audit_every = opts.audit_every;
             cfg.resilience.temp_budget = opts.temp_budget;
             let cores = host_cores();
-            let threads = opts.threads.resolve(cores);
-            cfg.threads = threads;
+            cfg.threads = opts.threads.resolve(cores);
             if let ThreadsChoice::Count(n) = opts.threads {
                 // An explicit count always wins, but replicas beyond the
                 // host's cores time-slice instead of running concurrently.
@@ -193,14 +192,7 @@ fn run_layout(
                     );
                 }
             }
-            let tool = SimultaneousPlaceRoute::new(cfg);
-            if threads > 1 {
-                // The parser rejects --threads plus resilience flags, so
-                // the parallel path never silently drops a checkpoint.
-                tool.run_parallel(arch, netlist, label, obs)?
-            } else {
-                tool.run_with_stop(arch, netlist, label, obs, stop)?
-            }
+            SimultaneousPlaceRoute::new(cfg).run_with_stop(arch, netlist, label, obs, stop)?
         }
         FlowChoice::Sequential => {
             let base = if opts.fast {
@@ -741,6 +733,35 @@ mod tests {
             stable(go()),
             "two-replica layout must be reproducible"
         );
+    }
+
+    #[test]
+    fn threads_honour_a_stop_request() {
+        let dir = std::env::temp_dir().join("rowfpga_cli_threads_stop_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let net_path = dir.join("d.net");
+        run(&[
+            "generate",
+            "--cells",
+            "40",
+            "-o",
+            net_path.to_str().unwrap(),
+        ])
+        .unwrap();
+        let cmd = parse_args(&v(&[
+            "layout",
+            net_path.to_str().unwrap(),
+            "--fast",
+            "--threads",
+            "2",
+        ]))
+        .unwrap();
+        let stop = StopFlag::manual();
+        stop.request_stop();
+        let mut out = Vec::new();
+        run_command_with_stop(&cmd, &mut out, &stop).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("stop: interrupted"), "{text}");
     }
 
     #[test]

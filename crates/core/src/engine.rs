@@ -8,7 +8,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rowfpga_anneal::{
-    anneal_parallel_observed, replica_seed, AnnealConfig, Annealer, ParallelConfig,
+    anneal_replicas, replica_seed, AnnealConfig, AnnealCursor, Annealer, Coordinator,
+    ParallelConfig, ReplicaHooks, ReplicaStatus, Verdict,
 };
 use rowfpga_arch::Architecture;
 use rowfpga_netlist::{CombLoopError, Netlist};
@@ -23,8 +24,8 @@ use crate::dynamics::DynamicsTrace;
 use crate::fault::FaultPlan;
 use crate::problem::LayoutProblem;
 use crate::snapshot::{
-    arch_fingerprint, netlist_fingerprint, BestLayout, Checkpoint, CheckpointError, WriteFault,
-    CHECKPOINT_VERSION,
+    arch_fingerprint, netlist_fingerprint, BestLayout, Checkpoint, CheckpointError,
+    ProblemSnapshot, WriteFault, CHECKPOINT_VERSION,
 };
 
 /// Errors the layout engines can raise.
@@ -261,9 +262,9 @@ pub struct SimPrConfig {
     pub cleanup_moves: usize,
     /// Checkpoint/resume, deadlines and the self-audit loop.
     pub resilience: ResilienceConfig,
-    /// Annealing replicas run in parallel by
-    /// [`SimultaneousPlaceRoute::run_parallel`] (1 = sequential). The
-    /// sequential entry points ignore this field.
+    /// Annealing replicas (1 = sequential): replica 0 anneals on the
+    /// calling thread and each further replica on its own thread, with
+    /// best-layout exchanges at temperature boundaries.
     pub threads: usize,
 }
 
@@ -392,12 +393,22 @@ impl SimultaneousPlaceRoute {
     /// configured) and returns its best-so-far layout tagged
     /// [`StopReason::Interrupted`].
     ///
+    /// The one layout driver for every [`SimPrConfig::threads`]: replica
+    /// `r` starts from placement seed [`replica_seed`]`(placement_seed, r)`
+    /// and anneals with `replica_seed(anneal.seed, r)`, replica 0 on the
+    /// calling thread (see [`anneal_replicas`]; DESIGN.md §8 gives the order
+    /// of work at a temperature boundary). The cheapest replica's final
+    /// layout gets the cleanup, final repair and timing analysis. The result
+    /// is deterministic in `(config, threads)`; `temperatures` and
+    /// `dynamics` describe the winning replica's walk, `total_moves` counts
+    /// every replica's.
+    ///
     /// # Errors
     ///
     /// Returns [`LayoutError`] if the design does not fit the chip,
     /// contains a combinational loop, a configured resume checkpoint does
-    /// not load or match this design and seeds, or the self-audit finds an
-    /// unrepairable divergence.
+    /// not load or match this design, seeds and replica count, or the
+    /// self-audit finds an unrepairable divergence.
     pub fn run_with_stop(
         &self,
         arch: &Architecture,
@@ -408,16 +419,18 @@ impl SimultaneousPlaceRoute {
     ) -> Result<LayoutResult, LayoutError> {
         // rowfpga-lint: allow(determinism) reason=wall-clock is deadline/telemetry only and never steers the search
         let start = Instant::now();
-        let res = &self.config.resilience;
+        let config = &self.config;
+        let res = &config.resilience;
+        let replicas = config.threads.max(1);
         if obs.enabled() {
             obs.emit(Event::RunStart {
                 flow: "simultaneous".into(),
                 benchmark: label.into(),
-                seed: self.config.placement_seed,
+                seed: config.placement_seed,
                 config: self.config_capture(netlist),
             });
         }
-        let mut anneal_cfg = self.config.anneal.clone();
+        let mut anneal_cfg = config.anneal.clone();
         if anneal_cfg.moves_per_temp == 0 {
             anneal_cfg.moves_per_temp = AnnealConfig::moves_for_cells(netlist.num_cells(), 1.0);
         }
@@ -448,195 +461,68 @@ impl SimultaneousPlaceRoute {
                         None => return Err(LayoutError::Checkpoint(primary)),
                     },
                 };
-                ck.validate(arch, netlist, self.config.placement_seed, anneal_cfg.seed)
-                    .map_err(LayoutError::Checkpoint)?;
+                ck.validate(
+                    arch,
+                    netlist,
+                    config.placement_seed,
+                    anneal_cfg.seed,
+                    replicas,
+                )
+                .map_err(LayoutError::Checkpoint)?;
                 Some(ck)
             }
             None => None,
         };
 
-        // Fingerprints are stable over the run; hash once.
-        let fingerprints = res
-            .checkpoint_path
-            .as_ref()
-            .map(|_| (arch_fingerprint(arch), netlist_fingerprint(netlist)));
-
-        let mut problem: LayoutProblem<'_>;
-        let mut annealer: Annealer;
-        let mut repairs_total: usize;
-        let mut best: Option<BestLayout>;
-        match &resumed {
-            Some(ck) => {
-                problem = LayoutProblem::restore(
-                    arch,
-                    netlist,
-                    self.config.router,
-                    self.config.cost,
-                    self.config.move_weights,
-                    &ck.problem,
-                )?
-                .with_obs(obs.clone());
-                annealer = Annealer::resume(&anneal_cfg, &ck.cursor);
-                repairs_total = ck.repairs;
-                best = ck.best.clone();
-                obs.span_start("anneal");
-            }
-            None => {
-                problem = LayoutProblem::new(
-                    arch,
-                    netlist,
-                    self.config.router,
-                    self.config.cost,
-                    self.config.move_weights,
-                    self.config.placement_seed,
-                )?
-                .with_obs(obs.clone());
-                obs.span_start("anneal");
-                annealer = Annealer::start(&mut problem, &anneal_cfg, obs);
-                repairs_total = 0;
-                best = None;
-            }
-        }
-
-        let track_best = res.enabled() || stop.armed();
-        #[cfg(feature = "fault-inject")]
-        let mut faults = res.faults.clone().unwrap_or_default();
-
-        let mut stop_reason = StopReason::Converged;
-        loop {
-            if annealer.finished() {
-                break;
-            }
-            if stop.is_set() {
-                stop_reason = StopReason::Interrupted;
-                break;
-            }
-            if res.deadline.is_some_and(|d| start.elapsed() >= d) {
-                stop_reason = StopReason::Deadline;
-                break;
-            }
-            if res
-                .temp_budget
-                .is_some_and(|b| annealer.temperatures_completed() >= b)
-            {
-                stop_reason = StopReason::Deadline;
-                break;
-            }
-            if annealer.step(&mut problem, obs).is_none() {
-                break;
-            }
-            let t = annealer.temperatures_completed();
-
-            #[cfg(feature = "fault-inject")]
-            let write_fault = {
-                let mut wf: Option<WriteFault> = None;
-                for fault in faults.take_at(t) {
-                    match fault.write_fault() {
-                        Some(w) => wf = Some(w),
-                        None => {
-                            problem.inject_fault(&fault);
-                        }
-                    }
-                }
-                wf
-            };
-            #[cfg(not(feature = "fault-inject"))]
-            let write_fault: Option<WriteFault> = None;
-
-            if res.audit_every > 0 && t.is_multiple_of(res.audit_every) {
-                match obs.span("audit", || problem.audit()) {
-                    Ok(()) => {
-                        obs.inc("audit.passed");
-                        if obs.enabled() {
-                            obs.emit(Event::Audit {
-                                temp: t,
-                                ok: true,
-                                detail: String::new(),
-                            });
-                        }
-                    }
-                    Err(detail) => {
-                        obs.inc("audit.failed");
-                        if obs.enabled() {
-                            obs.emit(Event::Audit {
-                                temp: t,
-                                ok: false,
-                                detail: detail.clone(),
-                            });
-                        }
-                        repairs_total += 1;
-                        Self::repair(&mut problem, t, &detail, res.max_repairs, obs)?;
-                    }
-                }
-            }
-
-            if track_best {
-                let key = (
-                    problem.routing().incomplete(),
-                    problem.routing().globally_unrouted(),
-                    problem.timing().worst(),
-                );
-                let improved = match &best {
-                    None => true,
-                    Some(b) => key < b.key(),
-                };
-                if improved {
-                    let snap = problem.snapshot();
-                    best = Some(BestLayout {
-                        sites: snap.sites,
-                        pinmaps: snap.pinmaps,
-                        routes: snap.routes,
-                        incomplete: key.0,
-                        globally_unrouted: key.1,
-                        worst_delay: key.2,
-                    });
-                }
-            }
-
-            if let (Some(path), Some(fp)) = (&res.checkpoint_path, fingerprints) {
-                if t.is_multiple_of(res.checkpoint_every.max(1)) {
-                    self.write_checkpoint(
-                        path,
-                        t,
-                        fp,
-                        anneal_cfg.seed,
-                        &problem,
-                        &annealer,
-                        repairs_total,
-                        &best,
-                        write_fault,
-                        obs,
-                    );
-                }
-            }
-        }
+        let hooks = LayoutReplicas {
+            arch,
+            netlist,
+            config,
+            anneal: &anneal_cfg,
+            resumed: resumed.as_ref(),
+        };
+        let mut boundaries = Boundaries {
+            config,
+            stop,
+            obs,
+            start,
+            // Fingerprints are stable over the run; hash once.
+            checkpoint: res
+                .checkpoint_path
+                .as_deref()
+                .map(|path| (path, (arch_fingerprint(arch), netlist_fingerprint(netlist)))),
+            track_best: res.enabled() || stop.armed(),
+            best: resumed.as_ref().and_then(|ck| ck.best.clone()),
+            repairs: resumed.as_ref().map_or(0, |ck| ck.repairs),
+            reason: StopReason::Converged,
+            new_best: None,
+            checkpoint_due: false,
+        };
+        obs.span_start("anneal");
+        let (live, outcome) = anneal_replicas(
+            &hooks,
+            &mut boundaries,
+            replicas,
+            resumed.as_ref().map_or(0, |ck| ck.temp),
+            &ParallelConfig::default(),
+            obs,
+        )?;
         obs.span_end("anneal");
-
-        // Graceful shutdown: an early stop leaves one final checkpoint at
-        // the boundary the run actually reached — unless no temperature
-        // completed. The problem snapshot is only restorable at a true
-        // temperature boundary (`on_temperature` has just reset the delta
-        // statistics and perturbation flags); the post-warmup state is
-        // not one, so a temp-0 checkpoint would resume into a run that
-        // diverges from a fresh start. With zero progress there is
-        // nothing worth resuming anyway: no file means the restart runs
-        // fresh, which is bit-identical by definition.
-        if stop_reason != StopReason::Converged && annealer.temperatures_completed() > 0 {
-            if let (Some(path), Some(fp)) = (&res.checkpoint_path, fingerprints) {
-                self.write_checkpoint(
-                    path,
-                    annealer.temperatures_completed(),
-                    fp,
-                    anneal_cfg.seed,
-                    &problem,
-                    &annealer,
-                    repairs_total,
-                    &best,
-                    None,
-                    obs,
-                );
+        let Boundaries {
+            best,
+            repairs: repairs_total,
+            reason: mut stop_reason,
+            ..
+        } = boundaries;
+        let (winner, reports) = (outcome.best_replica, outcome.replicas);
+        let mut problem = match outcome.best {
+            None => live,
+            Some(snap) => {
+                drop(live);
+                hooks.restore(&snap)?
             }
         }
+        .with_obs(obs.clone());
 
         // Zero-temperature cleanup: when the schedule froze with a few nets
         // still unrouted, a burst of greedy (improving-only) moves usually
@@ -646,13 +532,14 @@ impl SimultaneousPlaceRoute {
         // have.
         if stop_reason == StopReason::Converged
             && problem.routing().incomplete() > 0
-            && self.config.cleanup_moves > 0
+            && config.cleanup_moves > 0
         {
             use rand::SeedableRng as _;
             use rowfpga_anneal::AnnealProblem as _;
             obs.span_start("cleanup");
-            let mut rng = rand::rngs::StdRng::seed_from_u64(anneal_cfg.seed.wrapping_add(0x51ea9));
-            for _ in 0..self.config.cleanup_moves {
+            let seed = replica_seed(anneal_cfg.seed, winner).wrapping_add(0x51ea9);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            for _ in 0..config.cleanup_moves {
                 let (applied, delta) = problem.propose_and_apply(&mut rng);
                 obs.inc("cleanup.moves");
                 if delta <= 0.0 {
@@ -672,14 +559,10 @@ impl SimultaneousPlaceRoute {
             use rowfpga_anneal::AnnealProblem as _;
             problem.cost()
         };
-        let current_key = (
-            problem.routing().incomplete(),
-            problem.routing().globally_unrouted(),
-            problem.timing().worst(),
-        );
+        let current_key = quality_key(&problem);
         let (mut placement, mut routing, dynamics) = problem.into_parts();
         if stop_reason == StopReason::Converged {
-            if !routing.is_fully_routed() && self.config.final_repair_passes > 0 {
+            if !routing.is_fully_routed() && config.final_repair_passes > 0 {
                 // Placement is frozen now; a few rip-up-and-retry rounds often
                 // recover the last stragglers, exactly as a sequential flow's
                 // router would.
@@ -689,8 +572,8 @@ impl SimultaneousPlaceRoute {
                         arch,
                         netlist,
                         &placement,
-                        &self.config.router,
-                        self.config.final_repair_passes,
+                        &config.router,
+                        config.final_repair_passes,
                         obs,
                     )
                 });
@@ -733,8 +616,8 @@ impl SimultaneousPlaceRoute {
             worst_delay: sta.worst_delay(),
             critical_path,
             dynamics,
-            temperatures: annealer.temperatures_completed(),
-            total_moves: annealer.total_moves(),
+            temperatures: reports.get(winner).map_or(0, |r| r.outcome.temperatures),
+            total_moves: reports.iter().map(|r| r.outcome.total_moves).sum(),
             runtime: start.elapsed(),
             stop_reason,
             repairs: repairs_total,
@@ -746,195 +629,6 @@ impl SimultaneousPlaceRoute {
                 reason: stop_reason.to_string(),
                 temps: result.temperatures,
                 repairs: repairs_total,
-            });
-            let metrics = obs
-                .with_session(|s| s.metrics.to_json())
-                .unwrap_or(Json::Null);
-            obs.emit(Event::RunEnd {
-                cost: final_cost,
-                worst_delay: result.worst_delay,
-                unrouted: result.incomplete,
-                total_moves: result.total_moves,
-                temperatures: result.temperatures,
-                runtime_sec: result.runtime.as_secs_f64(),
-                metrics,
-            });
-            obs.flush();
-        }
-        Ok(result)
-    }
-
-    /// Lays out `netlist` on `arch` with [`SimPrConfig::threads`] parallel
-    /// annealing replicas exchanging their best layout at temperature
-    /// boundaries (see [`anneal_parallel_observed`]). Replica `r` starts
-    /// from the
-    /// random placement seeded [`replica_seed`]`(placement_seed, r)` and
-    /// anneals with seed `replica_seed(anneal.seed, r)`, so `threads == 1`
-    /// reproduces the sequential flow bit-for-bit. The best replica's final
-    /// layout then gets the same zero-temperature cleanup, final repair
-    /// pass and standalone timing analysis as the sequential flow.
-    ///
-    /// The result is deterministic in `(config, threads)` — thread
-    /// scheduling cannot change it. The resilience layer (checkpoints,
-    /// resume, audits, deadlines) is not supported here; callers should
-    /// reject such configurations up front.
-    ///
-    /// In the result, `temperatures` and `dynamics` describe the winning
-    /// replica's walk while `total_moves` counts work across all replicas.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LayoutError`] if the design does not fit the chip or
-    /// contains a combinational loop (both checked before any thread is
-    /// spawned).
-    pub fn run_parallel(
-        &self,
-        arch: &Architecture,
-        netlist: &Netlist,
-        label: &str,
-        obs: &Obs,
-    ) -> Result<LayoutResult, LayoutError> {
-        let threads = self.config.threads.max(1);
-        if threads == 1 {
-            return self.run_observed(arch, netlist, label, obs);
-        }
-        // rowfpga-lint: allow(determinism) reason=wall-clock is deadline/telemetry only and never steers the search
-        let start = Instant::now();
-        if obs.enabled() {
-            obs.emit(Event::RunStart {
-                flow: "simultaneous".into(),
-                benchmark: label.into(),
-                seed: self.config.placement_seed,
-                config: self.config_capture(netlist),
-            });
-        }
-        let mut anneal_cfg = self.config.anneal.clone();
-        if anneal_cfg.moves_per_temp == 0 {
-            anneal_cfg.moves_per_temp = AnnealConfig::moves_for_cells(netlist.num_cells(), 1.0);
-        }
-
-        // Fail fast on the caller's thread: replica construction inside
-        // worker threads can only fail the same ways, so these checks make
-        // the factory's panics unreachable.
-        Placement::random(arch, netlist, self.config.placement_seed)
-            .map_err(LayoutError::Placement)?;
-        LayoutProblem::check_levelizable(netlist).map_err(LayoutError::CombLoop)?;
-
-        obs.span_start("anneal");
-        let outcome = anneal_parallel_observed(
-            |r| {
-                LayoutProblem::new(
-                    arch,
-                    netlist,
-                    self.config.router,
-                    self.config.cost,
-                    self.config.move_weights,
-                    replica_seed(self.config.placement_seed, r),
-                )
-                .expect("replica construction was pre-validated")
-            },
-            threads,
-            &anneal_cfg,
-            &ParallelConfig::default(),
-            obs,
-        );
-        obs.span_end("anneal");
-        if obs.enabled() {
-            obs.observe("parallel.exchanges", outcome.exchanges as f64);
-            for r in &outcome.replicas {
-                obs.observe("parallel.adoptions", r.adoptions as f64);
-            }
-        }
-
-        let mut problem = LayoutProblem::restore(
-            arch,
-            netlist,
-            self.config.router,
-            self.config.cost,
-            self.config.move_weights,
-            &outcome.best,
-        )?
-        .with_obs(obs.clone());
-
-        if problem.routing().incomplete() > 0 && self.config.cleanup_moves > 0 {
-            use rand::SeedableRng as _;
-            use rowfpga_anneal::AnnealProblem as _;
-            obs.span_start("cleanup");
-            let cleanup_seed =
-                replica_seed(anneal_cfg.seed, outcome.best_replica).wrapping_add(0x51ea9);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(cleanup_seed);
-            for _ in 0..self.config.cleanup_moves {
-                let (applied, delta) = problem.propose_and_apply(&mut rng);
-                obs.inc("cleanup.moves");
-                if delta <= 0.0 {
-                    problem.commit(applied);
-                    obs.inc("cleanup.accepted");
-                } else {
-                    problem.undo(applied);
-                }
-                if problem.routing().incomplete() == 0 {
-                    break;
-                }
-            }
-            obs.span_end("cleanup");
-        }
-
-        let final_cost = {
-            use rowfpga_anneal::AnnealProblem as _;
-            problem.cost()
-        };
-        let (placement, mut routing, dynamics) = problem.into_parts();
-        if !routing.is_fully_routed() && self.config.final_repair_passes > 0 {
-            let repair = obs.span("final_repair", || {
-                route_batch_observed(
-                    &mut routing,
-                    arch,
-                    netlist,
-                    &placement,
-                    &self.config.router,
-                    self.config.final_repair_passes,
-                    obs,
-                )
-            });
-            if obs.enabled() {
-                obs.add("route.detail_failures", repair.detail_failures as u64);
-                obs.emit(Event::Reroute {
-                    scope: "final_repair".into(),
-                    stats: RerouteRecord {
-                        globally_routed: repair.globally_routed,
-                        detail_routed: repair.detail_routed,
-                        detail_failures: repair.detail_failures,
-                    },
-                });
-            }
-        }
-
-        let sta = obs.span("final_sta", || {
-            Sta::analyze_observed(arch, netlist, &placement, &routing, obs)
-                .map_err(LayoutError::CombLoop)
-        })?;
-        let critical_path = sta.critical_path(netlist);
-        let best = &outcome.replicas[outcome.best_replica].outcome;
-        let result = LayoutResult {
-            fully_routed: routing.is_fully_routed(),
-            globally_unrouted: routing.globally_unrouted(),
-            incomplete: routing.incomplete(),
-            worst_delay: sta.worst_delay(),
-            critical_path,
-            dynamics,
-            temperatures: best.temperatures,
-            total_moves: outcome.replicas.iter().map(|r| r.outcome.total_moves).sum(),
-            runtime: start.elapsed(),
-            stop_reason: StopReason::Converged,
-            repairs: 0,
-            placement,
-            routing,
-        };
-        if obs.enabled() {
-            obs.emit(Event::Stop {
-                reason: result.stop_reason.to_string(),
-                temps: result.temperatures,
-                repairs: 0,
             });
             let metrics = obs
                 .with_session(|s| s.metrics.to_json())
@@ -1000,62 +694,6 @@ impl SimultaneousPlaceRoute {
         })
     }
 
-    /// Assembles and atomically writes one checkpoint, reporting the
-    /// outcome to the journal. Write failures are non-fatal: the run keeps
-    /// going and the previous complete snapshot stays in place.
-    #[allow(clippy::too_many_arguments)]
-    fn write_checkpoint(
-        &self,
-        path: &Path,
-        temp: usize,
-        fingerprints: (u64, u64),
-        anneal_seed: u64,
-        problem: &LayoutProblem<'_>,
-        annealer: &Annealer,
-        repairs: usize,
-        best: &Option<BestLayout>,
-        fault: Option<WriteFault>,
-        obs: &Obs,
-    ) {
-        let ck = Checkpoint {
-            version: CHECKPOINT_VERSION,
-            arch_fingerprint: fingerprints.0,
-            netlist_fingerprint: fingerprints.1,
-            placement_seed: self.config.placement_seed,
-            anneal_seed,
-            repairs,
-            cursor: annealer.cursor(),
-            problem: problem.snapshot(),
-            best: best.clone(),
-        };
-        let keep = self.config.resilience.checkpoint_keep;
-        let written = obs.span("checkpoint", || {
-            if keep == 0 {
-                ck.save(path, fault)
-            } else {
-                ck.save_generation(path, temp, keep, fault)
-            }
-        });
-        let (ok, detail) = match written {
-            Ok(()) => {
-                obs.inc("checkpoint.written");
-                (true, String::new())
-            }
-            Err(e) => {
-                obs.inc("checkpoint.failed");
-                (false, e.to_string())
-            }
-        };
-        if obs.enabled() {
-            obs.emit(Event::Checkpoint {
-                temp,
-                path: path.display().to_string(),
-                ok,
-                detail,
-            });
-        }
-    }
-
     /// Key/value capture of the run configuration for the journal header.
     fn config_capture(&self, netlist: &Netlist) -> Vec<(String, Json)> {
         let c = &self.config;
@@ -1082,6 +720,262 @@ impl SimultaneousPlaceRoute {
                 c.resilience.checkpoint_every.into(),
             ),
         ]
+    }
+}
+
+/// Best-so-far ranking of a layout: fewer incomplete nets first, then
+/// fewer globally unrouted, then lower delay (see [`BestLayout::key`]).
+type QualityKey = (usize, usize, f64);
+
+fn quality_key(problem: &LayoutProblem<'_>) -> QualityKey {
+    (
+        problem.routing().incomplete(),
+        problem.routing().globally_unrouted(),
+        problem.timing().worst(),
+    )
+}
+
+/// What a replica reports at a temperature boundary.
+#[derive(Clone, Copy, Debug)]
+struct Audited {
+    key: QualityKey,
+    repaired: bool,
+}
+
+/// How each replica of a layout run starts, fresh or from its checkpointed
+/// state, and audits itself at a temperature boundary.
+struct LayoutReplicas<'r, 'a> {
+    arch: &'a Architecture,
+    netlist: &'a Netlist,
+    config: &'r SimPrConfig,
+    anneal: &'r AnnealConfig,
+    resumed: Option<&'r Checkpoint>,
+}
+
+impl<'a> LayoutReplicas<'_, 'a> {
+    fn restore(&self, snap: &ProblemSnapshot) -> Result<LayoutProblem<'a>, LayoutError> {
+        let c = self.config;
+        LayoutProblem::restore(
+            self.arch,
+            self.netlist,
+            c.router,
+            c.cost,
+            c.move_weights,
+            snap,
+        )
+    }
+}
+
+impl<'a> ReplicaHooks<LayoutProblem<'a>> for LayoutReplicas<'_, 'a> {
+    type Error = LayoutError;
+    type Report = Audited;
+
+    fn start_replica(
+        &self,
+        replica: usize,
+        obs: &Obs,
+    ) -> Result<(LayoutProblem<'a>, Annealer), LayoutError> {
+        let c = self.config;
+        let anneal = AnnealConfig {
+            seed: replica_seed(self.anneal.seed, replica),
+            ..self.anneal.clone()
+        };
+        if let Some(ck) = self.resumed {
+            let state = ck.replicas.get(replica).ok_or(LayoutError::Checkpoint(
+                CheckpointError::Replicas {
+                    found: ck.replicas.len(),
+                    expected: replica + 1,
+                },
+            ))?;
+            let (cursor, snap) = state;
+            let problem = self.restore(snap)?.with_obs(obs.clone());
+            return Ok((problem, Annealer::resume(&anneal, cursor)));
+        }
+        let mut problem = LayoutProblem::new(
+            self.arch,
+            self.netlist,
+            c.router,
+            c.cost,
+            c.move_weights,
+            replica_seed(c.placement_seed, replica),
+        )?
+        .with_obs(obs.clone());
+        let annealer = Annealer::start(&mut problem, &anneal, obs);
+        Ok((problem, annealer))
+    }
+
+    fn check_replica(
+        &self,
+        temp: usize,
+        problem: &mut LayoutProblem<'a>,
+        obs: &Obs,
+    ) -> Result<Audited, LayoutError> {
+        let res = &self.config.resilience;
+        #[cfg(feature = "fault-inject")]
+        for fault in res.faults.iter().flat_map(|plan| plan.at(temp)) {
+            if fault.write_fault().is_none() {
+                problem.inject_fault(&fault);
+            }
+        }
+        let mut repaired = false;
+        if res.audit_every > 0 && temp.is_multiple_of(res.audit_every) {
+            let audit = obs.span("audit", || problem.audit());
+            obs.inc(if audit.is_ok() {
+                "audit.passed"
+            } else {
+                "audit.failed"
+            });
+            if obs.enabled() {
+                let detail = audit.clone().err().unwrap_or_default();
+                let ok = audit.is_ok();
+                obs.emit(Event::Audit { temp, ok, detail });
+            }
+            if let Err(detail) = audit {
+                repaired = true;
+                SimultaneousPlaceRoute::repair(problem, temp, &detail, res.max_repairs, obs)?;
+            }
+        }
+        Ok(Audited {
+            key: quality_key(problem),
+            repaired,
+        })
+    }
+}
+
+/// The calling thread's side of a layout run: stop decisions, the best
+/// layout across replicas, and checkpoints.
+struct Boundaries<'r> {
+    config: &'r SimPrConfig,
+    stop: &'r StopFlag,
+    obs: &'r Obs,
+    start: Instant,
+    /// Checkpoint path and (arch, netlist) fingerprints, when checkpointing.
+    checkpoint: Option<(&'r Path, (u64, u64))>,
+    track_best: bool,
+    best: Option<BestLayout>,
+    repairs: usize,
+    reason: StopReason,
+    /// This boundary's pending work: the replica holding a new best
+    /// layout, and whether a checkpoint is due.
+    new_best: Option<(usize, QualityKey)>,
+    checkpoint_due: bool,
+}
+
+impl Coordinator<ProblemSnapshot, Audited> for Boundaries<'_> {
+    fn plan_boundary(&mut self, temp: usize, replicas: &[ReplicaStatus<Audited>]) -> Verdict {
+        let res = &self.config.resilience;
+        let stepped = replicas.iter().any(|s| s.report.is_some());
+        let mut leader: Option<(usize, QualityKey)> = None;
+        for (r, report) in replicas
+            .iter()
+            .enumerate()
+            .filter_map(|(r, s)| Some((r, s.report?)))
+        {
+            self.repairs += usize::from(report.repaired);
+            if leader.is_none_or(|(_, key)| report.key < key) {
+                leader = Some((r, report.key));
+            }
+        }
+        self.new_best = leader.filter(|(_, key)| {
+            self.track_best && self.best.as_ref().is_none_or(|b| *key < b.key())
+        });
+        self.reason = if replicas.iter().all(|s| s.finished) {
+            StopReason::Converged
+        } else if self.stop.is_set() {
+            StopReason::Interrupted
+        } else if res.deadline.is_some_and(|d| self.start.elapsed() >= d)
+            || res.temp_budget.is_some_and(|b| temp >= b)
+        {
+            StopReason::Deadline
+        } else {
+            StopReason::Converged
+        };
+        let early = self.reason != StopReason::Converged;
+        // Graceful shutdown: an early stop leaves one final checkpoint at
+        // the boundary the run actually reached — unless no temperature
+        // completed. The problem snapshot is only restorable at a true
+        // temperature boundary (`on_temperature` has just reset the delta
+        // statistics and perturbation flags); the post-warmup state is not
+        // one, so a temp-0 checkpoint would resume into a run that diverges
+        // from a fresh start. With zero progress there is nothing worth
+        // resuming anyway: no file means the restart runs fresh, which is
+        // bit-identical by definition.
+        self.checkpoint_due = self.checkpoint.is_some()
+            && ((stepped && temp.is_multiple_of(res.checkpoint_every.max(1)))
+                || (early && temp > 0));
+        Verdict {
+            stop: early,
+            share: self.checkpoint_due || self.new_best.is_some(),
+        }
+    }
+
+    fn receive_states(&mut self, temp: usize, states: Vec<(AnnealCursor, ProblemSnapshot)>) {
+        if let Some((r, key)) = self.new_best {
+            if let Some((_, snap)) = states.get(r) {
+                self.best = Some(BestLayout {
+                    sites: snap.sites.clone(),
+                    pinmaps: snap.pinmaps.clone(),
+                    routes: snap.routes.clone(),
+                    incomplete: key.0,
+                    globally_unrouted: key.1,
+                    worst_delay: key.2,
+                });
+            }
+        }
+        // Write failures are non-fatal: the run keeps going and the previous
+        // complete snapshot stays in place.
+        let (true, Some((path, fingerprints))) = (self.checkpoint_due, self.checkpoint) else {
+            return;
+        };
+        let config = self.config;
+        #[cfg(feature = "fault-inject")]
+        let fault: Option<WriteFault> = config
+            .resilience
+            .faults
+            .iter()
+            .flat_map(|plan| plan.at(temp))
+            .filter_map(|f| f.write_fault())
+            .last();
+        #[cfg(not(feature = "fault-inject"))]
+        let fault: Option<WriteFault> = None;
+        let ck = Checkpoint {
+            version: CHECKPOINT_VERSION,
+            arch_fingerprint: fingerprints.0,
+            netlist_fingerprint: fingerprints.1,
+            placement_seed: config.placement_seed,
+            anneal_seed: config.anneal.seed,
+            repairs: self.repairs,
+            temp,
+            replicas: states,
+            best: self.best.clone(),
+        };
+        let keep = config.resilience.checkpoint_keep;
+        let obs = self.obs;
+        let written = obs.span("checkpoint", || {
+            if keep == 0 {
+                ck.save(path, fault)
+            } else {
+                ck.save_generation(path, temp, keep, fault)
+            }
+        });
+        let (ok, detail) = match written {
+            Ok(()) => {
+                obs.inc("checkpoint.written");
+                (true, String::new())
+            }
+            Err(e) => {
+                obs.inc("checkpoint.failed");
+                (false, e.to_string())
+            }
+        };
+        if obs.enabled() {
+            obs.emit(Event::Checkpoint {
+                temp,
+                path: path.display().to_string(),
+                ok,
+                detail,
+            });
+        }
     }
 }
 
@@ -1156,19 +1050,40 @@ mod tests {
     }
 
     #[test]
-    fn parallel_with_one_thread_matches_the_sequential_flow() {
+    fn one_replica_matches_a_hand_driven_annealer() {
         let (arch, nl) = fixture();
         let cfg = SimPrConfig::fast().with_seed(5);
-        let tool = SimultaneousPlaceRoute::new(cfg);
-        let seq = tool.run(&arch, &nl).unwrap();
-        let par = tool
-            .run_parallel(&arch, &nl, "design", &Obs::disabled())
+        let result = SimultaneousPlaceRoute::new(cfg.clone())
+            .run(&arch, &nl)
             .unwrap();
-        assert_eq!(seq.worst_delay, par.worst_delay);
-        assert_eq!(seq.total_moves, par.total_moves);
-        assert_eq!(seq.incomplete, par.incomplete);
+        assert_eq!(result.incomplete, 0, "no cleanup or final repair ran");
+
+        let mut anneal = cfg.anneal.clone();
+        anneal.moves_per_temp = AnnealConfig::moves_for_cells(nl.num_cells(), 1.0);
+        let mut problem = LayoutProblem::new(
+            &arch,
+            &nl,
+            cfg.router,
+            cfg.cost,
+            cfg.move_weights,
+            cfg.placement_seed,
+        )
+        .unwrap();
+        let obs = Obs::disabled();
+        let mut annealer = Annealer::start(&mut problem, &anneal, &obs);
+        while annealer.step(&mut problem, &obs).is_some() {}
+
+        assert_eq!(result.total_moves, annealer.total_moves());
+        assert_eq!(result.temperatures, annealer.temperatures_completed());
+        assert_eq!(
+            result.routing.occupancy_digest(),
+            problem.routing().occupancy_digest()
+        );
         for (id, _) in nl.cells() {
-            assert_eq!(seq.placement.site_of(id), par.placement.site_of(id));
+            assert_eq!(
+                result.placement.site_of(id),
+                problem.placement().site_of(id)
+            );
         }
     }
 
@@ -1178,12 +1093,8 @@ mod tests {
         let mut cfg = SimPrConfig::fast().with_seed(5);
         cfg.threads = 2;
         let tool = SimultaneousPlaceRoute::new(cfg);
-        let run = || {
-            tool.run_parallel(&arch, &nl, "design", &Obs::disabled())
-                .unwrap()
-        };
-        let a = run();
-        let b = run();
+        let a = tool.run(&arch, &nl).unwrap();
+        let b = tool.run(&arch, &nl).unwrap();
         assert_eq!(a.worst_delay, b.worst_delay);
         assert_eq!(a.total_moves, b.total_moves);
         assert_eq!(a.incomplete, b.incomplete);
@@ -1193,6 +1104,167 @@ mod tests {
         verify_routing(&a.routing, &arch, &nl, &a.placement).unwrap();
         let sta = Sta::analyze(&arch, &nl, &a.placement, &a.routing).unwrap();
         assert_eq!(sta.worst_delay(), a.worst_delay);
+    }
+
+    fn two_replicas(seed: u64) -> SimPrConfig {
+        let mut cfg = SimPrConfig::fast().with_seed(seed);
+        cfg.threads = 2;
+        cfg
+    }
+
+    fn assert_same_layout(a: &LayoutResult, b: &LayoutResult, nl: &Netlist) {
+        assert_eq!(a.worst_delay.to_bits(), b.worst_delay.to_bits());
+        assert_eq!(a.total_moves, b.total_moves);
+        assert_eq!(a.temperatures, b.temperatures);
+        assert_eq!(a.routing.occupancy_digest(), b.routing.occupancy_digest());
+        assert_eq!(a.dynamics.samples(), b.dynamics.samples());
+        for (id, _) in nl.cells() {
+            assert_eq!(a.placement.site_of(id), b.placement.site_of(id));
+        }
+    }
+
+    #[test]
+    fn two_replica_checkpoint_then_resume_is_bit_identical() {
+        let (arch, nl) = fixture();
+        let full = SimultaneousPlaceRoute::new(two_replicas(7))
+            .run(&arch, &nl)
+            .unwrap();
+        // 5 is a plain boundary; 8 is an exchange boundary, which the
+        // resumed run re-plays from the pre-exchange states.
+        for budget in [5, 8] {
+            let ckpt = temp_file(&format!("rowfpga_engine_k2_resume_{budget}.json"));
+            remove_checkpoint_family(&ckpt);
+            let mut cfg = two_replicas(7);
+            cfg.resilience.temp_budget = Some(budget);
+            cfg.resilience.checkpoint_path = Some(ckpt.clone());
+            cfg.resilience.checkpoint_every = 1;
+            let partial = SimultaneousPlaceRoute::new(cfg).run(&arch, &nl).unwrap();
+            assert_eq!(partial.stop_reason, StopReason::Deadline);
+            let ck = Checkpoint::load(&ckpt).unwrap();
+            assert_eq!((ck.temp, ck.replicas.len()), (budget, 2));
+
+            let mut cfg = two_replicas(7);
+            cfg.resilience.resume_path = Some(ckpt.clone());
+            let resumed = SimultaneousPlaceRoute::new(cfg).run(&arch, &nl).unwrap();
+            remove_checkpoint_family(&ckpt);
+            assert_eq!(resumed.stop_reason, StopReason::Converged);
+            assert_same_layout(&resumed, &full, &nl);
+            verify_routing(&resumed.routing, &arch, &nl, &resumed.placement).unwrap();
+        }
+    }
+
+    #[test]
+    fn two_replica_runs_stop_early_with_a_verified_layout() {
+        let (arch, nl) = fixture();
+        let stop_with = |cfg: SimPrConfig, stop: &StopFlag| {
+            let result = SimultaneousPlaceRoute::new(cfg)
+                .run_with_stop(&arch, &nl, "fixture", &Obs::disabled(), stop)
+                .unwrap();
+            verify_routing(&result.routing, &arch, &nl, &result.placement).unwrap();
+            let sta = Sta::analyze(&arch, &nl, &result.placement, &result.routing).unwrap();
+            assert_eq!(sta.worst_delay(), result.worst_delay);
+            result
+        };
+        let mut cfg = two_replicas(4);
+        cfg.resilience.temp_budget = Some(3);
+        let budgeted = stop_with(cfg, &StopFlag::none());
+        assert_eq!(budgeted.stop_reason, StopReason::Deadline);
+        assert_eq!(budgeted.temperatures, 3);
+
+        let mut cfg = two_replicas(4);
+        cfg.resilience.deadline = Some(Duration::ZERO);
+        let late = stop_with(cfg, &StopFlag::none());
+        assert_eq!(late.stop_reason, StopReason::Deadline);
+        assert_eq!(late.temperatures, 0);
+
+        let stop = StopFlag::manual();
+        stop.request_stop();
+        let interrupted = stop_with(two_replicas(4), &stop);
+        assert_eq!(interrupted.stop_reason, StopReason::Interrupted);
+        assert_eq!(interrupted.temperatures, 0);
+    }
+
+    #[test]
+    fn two_replica_audits_change_nothing() {
+        let (arch, nl) = fixture();
+        let plain = SimultaneousPlaceRoute::new(two_replicas(3))
+            .run(&arch, &nl)
+            .unwrap();
+        let mut cfg = two_replicas(3);
+        cfg.resilience.audit_every = 2;
+        let audited = SimultaneousPlaceRoute::new(cfg).run(&arch, &nl).unwrap();
+        assert_eq!(audited.stop_reason, StopReason::Converged);
+        assert_eq!(audited.repairs, 0);
+        assert_same_layout(&audited, &plain, &nl);
+    }
+
+    #[test]
+    fn resume_rejects_a_checkpoint_with_another_replica_count() {
+        let (arch, nl) = fixture();
+        for (written, resumed) in [(2, 1), (1, 2)] {
+            let ckpt = temp_file(&format!("rowfpga_engine_k{written}_to_k{resumed}.json"));
+            remove_checkpoint_family(&ckpt);
+            let mut cfg = SimPrConfig::fast().with_seed(6);
+            cfg.threads = written;
+            cfg.resilience.temp_budget = Some(2);
+            cfg.resilience.checkpoint_path = Some(ckpt.clone());
+            SimultaneousPlaceRoute::new(cfg).run(&arch, &nl).unwrap();
+
+            let mut cfg = SimPrConfig::fast().with_seed(6);
+            cfg.threads = resumed;
+            cfg.resilience.resume_path = Some(ckpt.clone());
+            let err = SimultaneousPlaceRoute::new(cfg)
+                .run(&arch, &nl)
+                .unwrap_err();
+            remove_checkpoint_family(&ckpt);
+            assert_eq!(
+                err,
+                LayoutError::Checkpoint(CheckpointError::Replicas {
+                    found: written,
+                    expected: resumed
+                })
+            );
+        }
+    }
+
+    /// Journal lines with wall-clock fields removed.
+    fn normalized_journal(lines: &[String]) -> Vec<String> {
+        lines
+            .iter()
+            .map(|line| match rowfpga_obs::json::parse(line).unwrap() {
+                Json::Obj(pairs) => Json::Obj(
+                    pairs
+                        .into_iter()
+                        .filter(|(k, _)| k != "elapsed_us" && k != "runtime_sec")
+                        .collect(),
+                )
+                .to_string_compact(),
+                other => other.to_string_compact(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn two_replica_journals_carry_dynamics_and_are_deterministic() {
+        let (arch, nl) = fixture();
+        let journal = || {
+            let ring = rowfpga_obs::RingSink::new(1 << 16);
+            let obs = Obs::with_sink(Box::new(ring.clone()));
+            SimultaneousPlaceRoute::new(two_replicas(5))
+                .run_observed(&arch, &nl, "fixture", &obs)
+                .unwrap();
+            ring.snapshot()
+        };
+        let a = journal();
+        assert_eq!(normalized_journal(&a), normalized_journal(&journal()));
+        let count = |name: &str| {
+            a.iter()
+                .filter(|l| l.contains(&format!("\"event\":\"{name}\"")))
+                .count()
+        };
+        assert!(count("temperature") > 0);
+        assert_eq!(count("dynamics"), count("temperature"));
+        assert!(count("exchange") > 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Only compiled under the `fault-inject` feature. A [`FaultPlan`] is a
 //! seeded schedule mapping temperature indices to [`InjectedFault`]s; the
-//! engine consumes it at each temperature boundary, corrupting the
+//! engine delivers it at each temperature boundary, corrupting the
 //! incremental routing or timing state (through the crates' own
 //! feature-gated hooks) or sabotaging the next checkpoint write. The
 //! suite then proves that the self-audit detects every corruption, that
@@ -102,28 +102,12 @@ impl FaultPlan {
         FaultPlan { entries }
     }
 
-    /// Removes and returns the faults scheduled at temperature `temp`.
-    pub fn take_at(&mut self, temp: usize) -> Vec<InjectedFault> {
-        let mut due = Vec::new();
-        self.entries.retain(|(t, f)| {
-            if *t == temp {
-                due.push(*f);
-                false
-            } else {
-                true
-            }
-        });
-        due
-    }
-
-    /// Faults not yet delivered.
-    pub fn remaining(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the plan has no pending faults.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    /// The faults scheduled at temperature `temp`, in plan order.
+    pub fn at(&self, temp: usize) -> impl Iterator<Item = InjectedFault> + '_ {
+        self.entries
+            .iter()
+            .filter(move |(t, _)| *t == temp)
+            .map(|&(_, fault)| fault)
     }
 }
 
@@ -136,31 +120,27 @@ mod tests {
         let a = FaultPlan::seeded(11, 8, 20);
         let b = FaultPlan::seeded(11, 8, 20);
         assert_eq!(a, b);
-        assert_eq!(a.remaining(), 8);
+        assert_eq!((1..=20).map(|t| a.at(t).count()).sum::<usize>(), 8);
         let c = FaultPlan::seeded(12, 8, 20);
         assert_ne!(a, c);
     }
 
     #[test]
-    fn take_at_drains_matching_temps_in_order() {
-        let mut plan = FaultPlan::new(vec![
+    fn at_lists_matching_temps_in_order() {
+        let plan = FaultPlan::new(vec![
             (3, InjectedFault::RouteCounter),
             (5, InjectedFault::TimingWorst { delta_ps: 100.0 }),
             (3, InjectedFault::RouteOwner { nth: 0 }),
         ]);
-        assert!(plan.take_at(1).is_empty());
-        let due = plan.take_at(3);
+        assert_eq!(plan.at(1).count(), 0);
         assert_eq!(
-            due,
+            plan.at(3).collect::<Vec<_>>(),
             vec![
                 InjectedFault::RouteCounter,
                 InjectedFault::RouteOwner { nth: 0 }
             ]
         );
-        assert_eq!(plan.remaining(), 1);
-        assert!(!plan.is_empty());
-        plan.take_at(5);
-        assert!(plan.is_empty());
+        assert_eq!(plan.at(5).count(), 1);
     }
 
     #[test]

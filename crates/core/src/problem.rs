@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 
 use rowfpga_anneal::{AnnealProblem, ReplicaProblem, TemperatureStats};
 use rowfpga_arch::Architecture;
-use rowfpga_netlist::{CombLoopError, Netlist};
+use rowfpga_netlist::Netlist;
 use rowfpga_obs::{DynamicsRecord, Event, Obs};
 use rowfpga_place::{Move, MoveGenerator, MoveWeights, Placement};
 use rowfpga_route::{RouterConfig, RoutingState};
@@ -106,11 +106,6 @@ impl<'a> LayoutProblem<'a> {
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
-    }
-
-    /// Convenience constructor mapping a [`CombLoopError`] directly.
-    pub fn check_levelizable(netlist: &Netlist) -> Result<(), CombLoopError> {
-        rowfpga_netlist::Levels::compute(netlist).map(|_| ())
     }
 
     /// The current placement.
@@ -469,19 +464,20 @@ impl ReplicaProblem for LayoutProblem<'_> {
     /// donor's adaptive weights and exchange window so the annealing
     /// schedule stays coherent with the adopted layout.
     ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot does not reconstruct a legal layout. It
-    /// always does when taken from a live replica of the same problem
-    /// (same architecture and netlist), which is the only way
-    /// [`anneal_parallel`](rowfpga_anneal::anneal_parallel) produces one.
-    fn adopt(&mut self, snap: &ProblemSnapshot) {
-        let placement = Placement::from_parts(self.arch, self.netlist, &snap.sites, &snap.pinmaps)
-            .expect("adopted snapshot has a legal placement");
-        let routing = RoutingState::restore(self.arch, self.netlist, &snap.routes)
-            .expect("adopted snapshot has a consistent routing");
-        let timing = TimingState::new(self.arch, self.netlist, &placement, &routing)
-            .expect("netlist was levelizable when the replica was built");
+    /// A snapshot taken from a live replica of the same problem always
+    /// reconstructs; one that does not leaves this replica untouched and
+    /// returns `false`.
+    fn adopt(&mut self, snap: &ProblemSnapshot) -> bool {
+        let (arch, netlist) = (self.arch, self.netlist);
+        let Ok(placement) = Placement::from_parts(arch, netlist, &snap.sites, &snap.pinmaps) else {
+            return false;
+        };
+        let Ok(routing) = RoutingState::restore(arch, netlist, &snap.routes) else {
+            return false;
+        };
+        let Ok(timing) = TimingState::new(arch, netlist, &placement, &routing) else {
+            return false;
+        };
         self.placement = placement;
         self.routing = routing;
         self.timing = timing;
@@ -489,6 +485,7 @@ impl ReplicaProblem for LayoutProblem<'_> {
         self.window = snap.window;
         self.deltas = DeltaStats::default();
         self.perturbed.fill(false);
+        true
     }
 }
 
@@ -618,5 +615,33 @@ mod tests {
         // second temperature with no accepted moves records zero
         p.on_temperature(&TemperatureStats { index: 1, ..stats });
         assert_eq!(p.trace().samples()[1].cells_perturbed, 0.0);
+    }
+
+    #[test]
+    fn adopt_takes_a_donor_layout_and_refuses_one_that_does_not_rebuild() {
+        let (arch, nl) = fixture();
+        let mut p = problem_fixture(&arch, &nl);
+        let donor = LayoutProblem::new(
+            &arch,
+            &nl,
+            RouterConfig::default(),
+            CostConfig::default(),
+            MoveWeights::default(),
+            7,
+        )
+        .unwrap();
+        let mut broken = donor.snapshot();
+        broken.sites.truncate(1);
+        let before = p.snapshot();
+        assert!(!ReplicaProblem::adopt(&mut p, &broken));
+        assert_eq!(p.snapshot(), before, "a refused snapshot changes nothing");
+
+        assert!(ReplicaProblem::adopt(&mut p, &donor.snapshot()));
+        assert_eq!(
+            p.placement().export_sites(),
+            donor.placement().export_sites()
+        );
+        verify_routing(p.routing(), &arch, &nl, p.placement()).unwrap();
+        assert_eq!(p.cost(), donor.cost());
     }
 }

@@ -2,10 +2,12 @@
 //! Versioned, dependency-free checkpoints of a layout run.
 //!
 //! A checkpoint captures the full annealer state at a temperature boundary
-//! — placement sites and pinmaps, every net's routing record, the RNG
-//! stream words, the cooling-schedule cursor, the adaptive cost weights,
-//! the dynamics trace and the best layout seen so far — as one JSON
-//! document (the same [`Json`] value the observability journal uses).
+//! — for every replica, its placement sites and pinmaps, every net's
+//! routing record, the RNG stream words, the cooling-schedule cursor, the
+//! adaptive cost weights and the dynamics trace; plus the boundary index
+//! and the best layout seen so far — as one JSON document (the same
+//! [`Json`] value the observability journal uses). A one-replica run
+//! stores a one-element replica list.
 //! Restoring it and stepping on is bit-identical to never having stopped:
 //! timing is *not* stored because [`TimingState::new`] rebuilds it
 //! deterministically from placement and routing.
@@ -40,8 +42,8 @@ use crate::dynamics::{DynamicsSample, DynamicsTrace};
 /// The `format` marker every checkpoint document carries.
 pub const CHECKPOINT_FORMAT: &str = "rowfpga-checkpoint";
 
-/// The current checkpoint format version.
-pub const CHECKPOINT_VERSION: u64 = 1;
+/// The current checkpoint format version (2: one state per replica).
+pub const CHECKPOINT_VERSION: u64 = 2;
 
 /// Errors of checkpoint I/O, decoding and validation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -91,6 +93,14 @@ pub enum CheckpointError {
         /// Seed of the resuming configuration.
         expected: u64,
     },
+    /// The checkpoint holds a different number of replicas than the run
+    /// anneals.
+    Replicas {
+        /// Replica states in the file.
+        found: usize,
+        /// Replicas of the resuming configuration.
+        expected: usize,
+    },
     /// The decoded state does not reconstruct a legal layout.
     Restore {
         /// What failed to restore.
@@ -123,6 +133,10 @@ impl fmt::Display for CheckpointError {
             } => write!(
                 f,
                 "checkpoint {which} seed {found} does not match configured seed {expected}"
+            ),
+            CheckpointError::Replicas { found, expected } => write!(
+                f,
+                "checkpoint holds {found} replica(s) but the run anneals {expected}"
             ),
             CheckpointError::Restore { detail } => write!(f, "checkpoint restore failed: {detail}"),
         }
@@ -238,10 +252,11 @@ pub struct Checkpoint {
     pub anneal_seed: u64,
     /// Repairs performed so far in the run.
     pub repairs: usize,
-    /// The annealing-schedule cursor (RNG words, temperature, indices).
-    pub cursor: AnnealCursor,
-    /// The layout-side state.
-    pub problem: ProblemSnapshot,
+    /// The temperature boundary the checkpoint was taken at.
+    pub temp: usize,
+    /// Every replica's state, by replica: its annealing-schedule cursor
+    /// (RNG words, temperature, indices) and its layout-side state.
+    pub replicas: Vec<(AnnealCursor, ProblemSnapshot)>,
     /// Best layout seen so far, if tracking was active.
     pub best: Option<BestLayout>,
 }
@@ -526,11 +541,74 @@ fn layout_fields(
     )
 }
 
+fn replica_to_json((cursor, p): &(AnnealCursor, ProblemSnapshot)) -> Json {
+    let (sites, pinmaps, routes) = layout_fields(&p.sites, &p.pinmaps, &p.routes);
+    Json::obj(vec![
+        ("cursor", cursor_to_json(cursor)),
+        (
+            "weights",
+            Json::obj(vec![
+                ("wg", p.weights.wg.into()),
+                ("wd", p.weights.wd.into()),
+                ("wt", p.weights.wt.into()),
+            ]),
+        ),
+        (
+            "window",
+            if p.window == usize::MAX {
+                Json::Null
+            } else {
+                p.window.into()
+            },
+        ),
+        ("sites", sites),
+        ("pinmaps", pinmaps),
+        ("routes", routes),
+        (
+            "trace",
+            Json::Arr(p.trace.samples().iter().map(sample_to_json).collect()),
+        ),
+    ])
+}
+
+fn replica_from_json(j: &Json) -> Result<(AnnealCursor, ProblemSnapshot), CheckpointError> {
+    let what = "replica";
+    let weights_j = get(j, "weights", what)?;
+    let weights = CostWeights {
+        wg: get_f64(weights_j, "wg", "weights")?,
+        wd: get_f64(weights_j, "wd", "weights")?,
+        wt: get_f64(weights_j, "wt", "weights")?,
+    };
+    let window = match get(j, "window", what)? {
+        Json::Null => usize::MAX,
+        v => v.as_u64().ok_or_else(|| CheckpointError::Format {
+            detail: "window is not an integer or null".into(),
+        })? as usize,
+    };
+    let mut trace = DynamicsTrace::new();
+    for s in get_arr(j, "trace", what)? {
+        trace.push(sample_from_json(s)?);
+    }
+    let routes = get_arr(j, "routes", what)?
+        .iter()
+        .map(route_from_json)
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((
+        cursor_from_json(get(j, "cursor", what)?)?,
+        ProblemSnapshot {
+            sites: usize_arr(get_arr(j, "sites", what)?, "sites")?,
+            pinmaps: pinmap_arr(get_arr(j, "pinmaps", what)?, "pinmaps")?,
+            routes,
+            weights,
+            window,
+            trace,
+        },
+    ))
+}
+
 impl Checkpoint {
     /// Serializes the checkpoint as one JSON document.
     pub fn to_json(&self) -> Json {
-        let p = &self.problem;
-        let (sites, pinmaps, routes) = layout_fields(&p.sites, &p.pinmaps, &p.routes);
         let best = match &self.best {
             None => Json::Null,
             Some(b) => {
@@ -553,29 +631,10 @@ impl Checkpoint {
             ("placement_seed", ju64(self.placement_seed)),
             ("anneal_seed", ju64(self.anneal_seed)),
             ("repairs", self.repairs.into()),
-            ("cursor", cursor_to_json(&self.cursor)),
+            ("temp", self.temp.into()),
             (
-                "weights",
-                Json::obj(vec![
-                    ("wg", self.problem.weights.wg.into()),
-                    ("wd", self.problem.weights.wd.into()),
-                    ("wt", self.problem.weights.wt.into()),
-                ]),
-            ),
-            (
-                "window",
-                if p.window == usize::MAX {
-                    Json::Null
-                } else {
-                    p.window.into()
-                },
-            ),
-            ("sites", sites),
-            ("pinmaps", pinmaps),
-            ("routes", routes),
-            (
-                "trace",
-                Json::Arr(p.trace.samples().iter().map(sample_to_json).collect()),
+                "replicas",
+                Json::Arr(self.replicas.iter().map(replica_to_json).collect()),
             ),
             ("best", best),
         ])
@@ -601,26 +660,6 @@ impl Checkpoint {
         if version != CHECKPOINT_VERSION {
             return Err(CheckpointError::Version { found: version });
         }
-        let weights_j = get(j, "weights", what)?;
-        let weights = CostWeights {
-            wg: get_f64(weights_j, "wg", "weights")?,
-            wd: get_f64(weights_j, "wd", "weights")?,
-            wt: get_f64(weights_j, "wt", "weights")?,
-        };
-        let window = match get(j, "window", what)? {
-            Json::Null => usize::MAX,
-            v => v.as_u64().ok_or_else(|| CheckpointError::Format {
-                detail: "window is not an integer or null".into(),
-            })? as usize,
-        };
-        let mut trace = DynamicsTrace::new();
-        for s in get_arr(j, "trace", what)? {
-            trace.push(sample_from_json(s)?);
-        }
-        let routes = get_arr(j, "routes", what)?
-            .iter()
-            .map(route_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
         let best = match get(j, "best", what)? {
             Json::Null => None,
             b => Some(BestLayout {
@@ -642,30 +681,29 @@ impl Checkpoint {
             placement_seed: get_u64(j, "placement_seed", what)?,
             anneal_seed: get_u64(j, "anneal_seed", what)?,
             repairs: get_usize(j, "repairs", what)?,
-            cursor: cursor_from_json(get(j, "cursor", what)?)?,
-            problem: ProblemSnapshot {
-                sites: usize_arr(get_arr(j, "sites", what)?, "sites")?,
-                pinmaps: pinmap_arr(get_arr(j, "pinmaps", what)?, "pinmaps")?,
-                routes,
-                weights,
-                window,
-                trace,
-            },
+            temp: get_usize(j, "temp", what)?,
+            replicas: get_arr(j, "replicas", what)?
+                .iter()
+                .map(replica_from_json)
+                .collect::<Result<Vec<_>, _>>()?,
             best,
         })
     }
 
-    /// Checks the header against the design and seeds of the resuming run.
+    /// Checks the header against the design, seeds and replica count of
+    /// the resuming run.
     ///
     /// # Errors
     ///
-    /// Returns the first mismatch: architecture, netlist, or either seed.
+    /// Returns the first mismatch: architecture, netlist, either seed, or
+    /// the replica count.
     pub fn validate(
         &self,
         arch: &Architecture,
         netlist: &Netlist,
         placement_seed: u64,
         anneal_seed: u64,
+        replicas: usize,
     ) -> Result<(), CheckpointError> {
         let expected = arch_fingerprint(arch);
         if self.arch_fingerprint != expected {
@@ -693,6 +731,12 @@ impl Checkpoint {
                 which: "anneal",
                 found: self.anneal_seed,
                 expected: anneal_seed,
+            });
+        }
+        if self.replicas.len() != replicas {
+            return Err(CheckpointError::Replicas {
+                found: self.replicas.len(),
+                expected: replicas,
             });
         }
         Ok(())
@@ -940,16 +984,10 @@ impl Checkpoint {
 mod tests {
     use super::*;
 
-    fn sample_checkpoint() -> Checkpoint {
-        Checkpoint {
-            version: CHECKPOINT_VERSION,
-            arch_fingerprint: u64::MAX - 3,
-            netlist_fingerprint: 0x1234_5678_9abc_def0,
-            placement_seed: 7,
-            anneal_seed: u64::MAX,
-            repairs: 2,
-            cursor: AnnealCursor {
-                rng_state: [u64::MAX, 1, 0x8000_0000_0000_0001, 42],
+    fn sample_replica(seed: u64) -> (AnnealCursor, ProblemSnapshot) {
+        (
+            AnnealCursor {
+                rng_state: [u64::MAX, seed, 0x8000_0000_0000_0001, 42],
                 temperature: 3.25,
                 next_index: 11,
                 stalled: 1,
@@ -957,7 +995,7 @@ mod tests {
                 best_cost: 98.765,
                 frozen: false,
             },
-            problem: ProblemSnapshot {
+            ProblemSnapshot {
                 sites: vec![3, 1, 4, 1, 5],
                 pinmaps: vec![0, 2, 0, 1, 7],
                 routes: vec![
@@ -991,6 +1029,24 @@ mod tests {
                     t
                 },
             },
+        )
+    }
+
+    /// A two-replica checkpoint whose replicas differ.
+    fn sample_checkpoint() -> Checkpoint {
+        let (mut cursor, mut problem) = sample_replica(2);
+        problem.sites = vec![1, 3, 4, 0, 5];
+        problem.window = 17;
+        cursor.frozen = true;
+        Checkpoint {
+            version: CHECKPOINT_VERSION,
+            arch_fingerprint: u64::MAX - 3,
+            netlist_fingerprint: 0x1234_5678_9abc_def0,
+            placement_seed: 7,
+            anneal_seed: u64::MAX,
+            repairs: 2,
+            temp: 11,
+            replicas: vec![sample_replica(1), (cursor, problem)],
             best: Some(BestLayout {
                 sites: vec![1, 3, 4, 0, 5],
                 pinmaps: vec![0, 0, 0, 0, 0],
@@ -1009,13 +1065,27 @@ mod tests {
         let back = Checkpoint::from_json(&rowfpga_obs::json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, ck);
 
-        // window that is limited survives too
+        // a single replica and no best layout survive too
         let mut ck2 = ck;
-        ck2.problem.window = 17;
+        ck2.replicas.truncate(1);
         ck2.best = None;
         let text = ck2.to_json().to_string_compact();
         let back = Checkpoint::from_json(&rowfpga_obs::json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, ck2);
+    }
+
+    #[test]
+    fn version_one_documents_fail_to_load() {
+        // The single-replica layout: one top-level cursor and layout.
+        let path = std::env::temp_dir().join("rowfpga_ckpt_version_one.json");
+        fs::write(
+            &path,
+            r#"{"format":"rowfpga-checkpoint","version":1,"repairs":0,"cursor":{},"sites":[],"pinmaps":[],"routes":[],"trace":[],"best":null}"#,
+        )
+        .unwrap();
+        let err = Checkpoint::load(&path).unwrap_err();
+        let _ = fs::remove_file(&path);
+        assert_eq!(err, CheckpointError::Version { found: 1 });
     }
 
     #[test]
@@ -1107,46 +1177,53 @@ mod tests {
         ck.placement_seed = 5;
         ck.anneal_seed = 6;
 
-        ck.validate(&arch, &nl, 5, 6).unwrap();
+        ck.validate(&arch, &nl, 5, 6, 2).unwrap();
         assert!(matches!(
-            ck.validate(&other_arch, &nl, 5, 6),
+            ck.validate(&other_arch, &nl, 5, 6, 2),
             Err(CheckpointError::ArchMismatch { .. })
         ));
         assert!(matches!(
-            ck.validate(&arch, &other_nl, 5, 6),
+            ck.validate(&arch, &other_nl, 5, 6, 2),
             Err(CheckpointError::NetlistMismatch { .. })
         ));
         assert!(matches!(
-            ck.validate(&arch, &nl, 9, 6),
+            ck.validate(&arch, &nl, 9, 6, 2),
             Err(CheckpointError::SeedMismatch {
                 which: "placement",
                 ..
             })
         ));
         assert!(matches!(
-            ck.validate(&arch, &nl, 5, 9),
+            ck.validate(&arch, &nl, 5, 9, 2),
             Err(CheckpointError::SeedMismatch {
                 which: "anneal",
                 ..
             })
         ));
+        assert_eq!(
+            ck.validate(&arch, &nl, 5, 6, 1),
+            Err(CheckpointError::Replicas {
+                found: 2,
+                expected: 1
+            })
+        );
     }
 
     #[test]
     fn version_and_format_gates_reject_foreign_documents() {
         let ck = sample_checkpoint();
         let mut doc = ck.to_json();
-        // bump the version in place
+        // a version-1 (single-replica) document is refused by version
         if let Json::Obj(pairs) = &mut doc {
             for (k, v) in pairs.iter_mut() {
                 if k == "version" {
-                    *v = Json::Num(2.0);
+                    *v = Json::Num(1.0);
                 }
             }
         }
         assert!(matches!(
             Checkpoint::from_json(&doc),
-            Err(CheckpointError::Version { found: 2 })
+            Err(CheckpointError::Version { found: 1 })
         ));
         let not_ours = Json::obj(vec![("format", "something-else".into())]);
         assert!(matches!(

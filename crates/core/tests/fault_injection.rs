@@ -204,7 +204,7 @@ fn checkpoint_write_faults_keep_the_last_complete_snapshot() {
 
     // The surviving file is the last complete snapshot and still resumes.
     let ck = Checkpoint::load(&ckpt).unwrap();
-    assert_eq!(ck.cursor.next_index, 6, "final checkpoint wins");
+    assert_eq!(ck.temp, 6, "final checkpoint wins");
     let mut cfg = SimPrConfig::fast().with_seed(5);
     cfg.resilience.resume_path = Some(ckpt.clone());
     let resumed = SimultaneousPlaceRoute::new(cfg).run(&arch, &nl).unwrap();

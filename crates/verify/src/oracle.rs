@@ -285,16 +285,19 @@ pub fn synthetic_checkpoint(
         placement_seed: seed,
         anneal_seed: seed ^ 0x9e37,
         repairs: 0,
-        cursor: AnnealCursor {
-            rng_state: [seed, seed ^ 0xdead, seed ^ 0xbeef, !seed],
-            temperature: 12.5,
-            next_index: 3,
-            stalled: 1,
-            total_moves: 4242,
-            best_cost: 17.25,
-            frozen: false,
-        },
-        problem: problem.snapshot(),
+        temp: 3,
+        replicas: vec![(
+            AnnealCursor {
+                rng_state: [seed, seed ^ 0xdead, seed ^ 0xbeef, !seed],
+                temperature: 12.5,
+                next_index: 3,
+                stalled: 1,
+                total_moves: 4242,
+                best_cost: 17.25,
+                frozen: false,
+            },
+            problem.snapshot(),
+        )],
         best: None,
     }
 }
@@ -315,36 +318,36 @@ pub fn checkpoint_roundtrip(
 ) -> Result<(), OracleFailure> {
     const NAME: &str = "checkpoint-roundtrip";
     let ckpt = synthetic_checkpoint(arch, netlist, problem, seed);
-    let cursor = ckpt.cursor.clone();
     let text = ckpt.to_json().to_string_compact();
     let parsed = rowfpga_obs::json::parse(&text).map_err(|e| {
         OracleFailure::new(NAME, format!("serialized checkpoint does not parse: {e}"))
     })?;
     let back = Checkpoint::from_json(&parsed)
         .map_err(|e| OracleFailure::new(NAME, format!("checkpoint does not decode: {e}")))?;
-    back.validate(arch, netlist, seed, seed ^ 0x9e37)
+    back.validate(arch, netlist, seed, seed ^ 0x9e37, 1)
         .map_err(|e| OracleFailure::new(NAME, format!("restored header fails validation: {e}")))?;
-    if back.cursor != cursor {
+    let (Some((cursor, snap)), Some((cursor0, snap0))) =
+        (back.replicas.first(), ckpt.replicas.first())
+    else {
+        return Err(OracleFailure::new(
+            NAME,
+            "replica state did not survive the round trip".into(),
+        ));
+    };
+    if cursor != cursor0 {
         return Err(OracleFailure::new(
             NAME,
             "anneal cursor did not survive the round trip".into(),
         ));
     }
-    if back.problem != ckpt.problem {
+    if snap != snap0 {
         return Err(OracleFailure::new(
             NAME,
             "problem snapshot did not survive the round trip".into(),
         ));
     }
-    let restored = LayoutProblem::restore(
-        arch,
-        netlist,
-        router_cfg,
-        cost_cfg,
-        move_weights,
-        &back.problem,
-    )
-    .map_err(|e| OracleFailure::new(NAME, format!("snapshot does not restore: {e}")))?;
+    let restored = LayoutProblem::restore(arch, netlist, router_cfg, cost_cfg, move_weights, snap)
+        .map_err(|e| OracleFailure::new(NAME, format!("snapshot does not restore: {e}")))?;
     // The restored problem re-derives timing from scratch; compare layouts
     // bit-exactly and timing to tolerance.
     if restored.placement().export_sites() != problem.placement().export_sites()
@@ -394,8 +397,11 @@ pub fn checkpoint_crash_windows(
     good.save(&path, None)
         .map_err(|e| OracleFailure::new(NAME, format!("clean save failed: {e}")))?;
     let mut newer = good.clone();
-    newer.cursor.total_moves += 1;
-    newer.cursor.temperature *= 0.9;
+    newer.temp += 1;
+    for (cursor, _) in &mut newer.replicas {
+        cursor.total_moves += 1;
+        cursor.temperature *= 0.9;
+    }
     for fault in [WriteFault::ShortWrite, WriteFault::SkipRename] {
         if newer.save(&path, Some(fault)).is_ok() {
             return Err(OracleFailure::new(

@@ -128,6 +128,22 @@ if want smoke; then
   grep -q "routed: true" "$smoke_dir/par1.out" \
     || { echo "FAIL: two-replica layout left nets unrouted"; exit 1; }
 
+  echo "== parallel resilience smoke (2 replicas: 2 s deadline -> checkpoint -> resume)"
+  run_cli layout "$smoke_dir/smoke.net" --threads 2 \
+    --deadline 2 --checkpoint "$smoke_dir/par.ckpt" \
+    > "$smoke_dir/par-deadline.out"
+  cat "$smoke_dir/par-deadline.out"
+  grep -q "stop: deadline" "$smoke_dir/par-deadline.out" \
+    || { echo "FAIL: 2 s deadline did not stop the two-replica run"; exit 1; }
+  grep -q '"format": *"rowfpga-checkpoint"' "$smoke_dir/par.ckpt" \
+    || { echo "FAIL: no valid checkpoint after the two-replica deadline stop"; exit 1; }
+  run_cli layout "$smoke_dir/smoke.net" --threads 2 \
+    --resume "$smoke_dir/par.ckpt" --deadline 0 \
+    > "$smoke_dir/par-resume.out"
+  cat "$smoke_dir/par-resume.out"
+  grep -q "stop: deadline" "$smoke_dir/par-resume.out" \
+    || { echo "FAIL: two-replica checkpoint did not resume"; exit 1; }
+
   echo "== serve smoke (daemon, deadline job, SIGTERM drain, resumable spool)"
   cargo build --offline -q -p rowfpga-cli
   serve_sock="$smoke_dir/serve.sock"
