@@ -144,10 +144,11 @@ pub(crate) fn try_global_route(
 ///
 /// Each greedy step — the free first-in-order max-reach segment tappable
 /// at `chan_min` (first pick) or extending the covered range (later
-/// picks) — is a single lookup in the state's live greedy-step tables,
-/// which mirror exactly the scan over the column's segments this search
-/// used to perform. A segment already in the chain can never be re-picked:
-/// its top equals some earlier reach, which no longer *extends* the reach.
+/// picks) — is one masked lowest-bit query on the state's vertical-pick
+/// bitmasks, whose ranking (`hi` descending, then scan order) reproduces
+/// exactly the scan over the column's segments. A segment already in the
+/// chain can never be re-picked: its top equals some earlier reach, which
+/// no longer *extends* the reach.
 fn find_chain_into(
     state: &RoutingState,
     col: usize,

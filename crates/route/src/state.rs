@@ -10,7 +10,7 @@
 //! not allocate.
 
 use rowfpga_arch::{Architecture, ChannelId, ColId, HSegId, VSegId};
-use rowfpga_netlist::{CellId, NetId, Netlist};
+use rowfpga_netlist::{CellId, NetId, Netlist, PinRef, MAX_FANIN};
 
 use crate::flatset::DenseSet;
 use crate::route::{NetRoute, NetRouteState};
@@ -90,24 +90,6 @@ struct RetryStamps {
     /// the vertical segments intersecting the net's channel range, so
     /// these localize invalidation to that range.
     vchan_mod: Vec<u64>,
-    /// Per-(column, channel) greedy-step table for the *first* chain
-    /// segment: the free segment the greedy scan would pick to tap channel
-    /// `c` (`lo <= c <= hi`, first-in-order max-`hi`), as `(hi, seg)` with
-    /// `seg == u32::MAX` for "none". Flat `col × num_channels` grid. Kept
-    /// exactly consistent with ownership, it turns each greedy step of the
-    /// chain search into one table lookup.
-    best_cov: Vec<(u16, u32)>,
-    /// Per-(column, reach) greedy-step table for *later* chain segments:
-    /// the free segment extending reach `r` (`lo <= r < hi`, first-in-order
-    /// max-`hi`), same encoding as `best_cov`.
-    best_ext: Vec<(u16, u32)>,
-    /// CSR offsets into `vcol_segs`, one slice per column.
-    vcol_start: Vec<u32>,
-    /// Vertical segment ids per column, in the architecture's scan order —
-    /// the order the greedy scan visits and breaks ties by.
-    vcol_segs: Vec<u32>,
-    /// Per-vseg position within its column's scan order, for tie breaks.
-    vord: Vec<u32>,
     /// Per-net `vtick` captured *before* the net's last failed global
     /// attempt; 0 = attempt normally. Cleared whenever the net's route
     /// changes (its requirements may differ after the move that ripped it).
@@ -115,12 +97,9 @@ struct RetryStamps {
     /// The `(chan_min, chan_max)` requirement range at the net's last
     /// failed global attempt, valid while its `global_fail` stamp is.
     global_fail_range: Vec<(u32, u32)>,
-    /// Per-vseg `(col, chan_lo, chan_hi)`, for maintaining `vchan_mod` and
-    /// the greedy-step tables from ownership edits without consulting
-    /// the architecture.
-    vseg_span: Vec<(u32, u32, u32)>,
-    /// Channel count, for indexing the greedy-step tables.
-    num_channels: u32,
+    /// Per-vseg `(chan_lo, chan_hi)`, for stamping `vchan_mod` on release
+    /// without consulting the architecture.
+    vseg_span: Vec<(u32, u32)>,
     /// Logical clock of horizontal-segment *releases*, bumped once per
     /// release batch. Claims deliberately do not advance it: a failed
     /// track scan means every feasible track is blocked, a condition
@@ -148,49 +127,12 @@ impl RetryStamps {
     fn new(arch: &Architecture, num_nets: usize) -> RetryStamps {
         let num_channels = arch.geometry().num_channels();
         let num_cols = arch.geometry().num_cols();
-        let vseg_span: Vec<(u32, u32, u32)> = (0..arch.num_vsegs())
+        let vseg_span = (0..arch.num_vsegs())
             .map(|i| {
                 let s = arch.vseg(VSegId::new(i));
-                (
-                    s.col().index() as u32,
-                    s.chan_lo().index() as u32,
-                    s.chan_hi().index() as u32,
-                )
+                (s.chan_lo().index() as u32, s.chan_hi().index() as u32)
             })
             .collect();
-        let mut vcol_start = vec![0u32; num_cols + 1];
-        let mut vcol_segs = Vec::with_capacity(arch.num_vsegs());
-        let mut vord = vec![0u32; arch.num_vsegs()];
-        for col in 0..num_cols {
-            for (k, s) in arch.vsegs_at(ColId::new(col)).iter().enumerate() {
-                vord[s.id().index()] = k as u32;
-                vcol_segs.push(s.id().index() as u32);
-            }
-            vcol_start[col + 1] = vcol_segs.len() as u32;
-        }
-        // All segments start free; applying the first-in-order max-`hi`
-        // rule in scan order reproduces the greedy scan's pick exactly.
-        let mut best_cov = vec![(0u16, u32::MAX); num_cols * num_channels];
-        let mut best_ext = vec![(0u16, u32::MAX); num_cols * num_channels];
-        for col in 0..num_cols {
-            let base = col * num_channels;
-            let (s, e) = (vcol_start[col] as usize, vcol_start[col + 1] as usize);
-            for &v in &vcol_segs[s..e] {
-                let (_, lo, hi) = vseg_span[v as usize];
-                for c in lo..=hi {
-                    let cur = &mut best_cov[base + c as usize];
-                    if cur.1 == u32::MAX || hi as u16 > cur.0 {
-                        *cur = (hi as u16, v);
-                    }
-                }
-                for r in lo..hi {
-                    let cur = &mut best_ext[base + r as usize];
-                    if cur.1 == u32::MAX || hi as u16 > cur.0 {
-                        *cur = (hi as u16, v);
-                    }
-                }
-            }
-        }
         let mut hseg_span = vec![(0, 0, 0); arch.num_hsegs()];
         for c in 0..num_channels {
             for track in arch.channel_tracks(ChannelId::new(c)) {
@@ -205,15 +147,9 @@ impl RetryStamps {
             chan_attempt: vec![(0, 0); num_channels],
             vtick: 1,
             vchan_mod: vec![1; num_channels],
-            best_cov,
-            best_ext,
-            vcol_start,
-            vcol_segs,
-            vord,
             global_fail: vec![0; num_nets],
             global_fail_range: vec![(0, 0); num_nets],
             vseg_span,
-            num_channels: num_channels as u32,
             htick: 1,
             hcol_mod: vec![1; num_channels * num_cols],
             detail_fail: vec![0; num_channels * num_nets],
@@ -223,87 +159,12 @@ impl RetryStamps {
         }
     }
 
-    /// Records the release of `vseg`: stamps its covered channels with a
-    /// fresh tick and offers it back to the greedy-step tables (it becomes
-    /// the pick of any row it beats under the first-in-order max-`hi`
-    /// rule).
+    /// Records the release of `vseg`: stamps its covered channels with the
+    /// current tick (claims never invalidate failure stamps — they only
+    /// shrink feasibility).
     fn free_vseg(&mut self, vseg: usize) {
-        let (col, lo, hi) = self.vseg_span[vseg];
-        let base = col as usize * self.num_channels as usize;
-        let ord = self.vord[vseg];
-        for c in lo..=hi {
-            self.vchan_mod[c as usize] = self.vtick;
-            self.offer(true, base + c as usize, hi as u16, vseg as u32, ord);
-        }
-        for r in lo..hi {
-            self.offer(false, base + r as usize, hi as u16, vseg as u32, ord);
-        }
-    }
-
-    /// Offers a newly freed segment to one greedy-step table row,
-    /// installing it iff the greedy scan would now pick it: strictly
-    /// larger `hi`, or equal `hi` and earlier in scan order.
-    fn offer(&mut self, cov: bool, idx: usize, hi: u16, v: u32, ord: u32) {
-        let cur = if cov {
-            self.best_cov[idx]
-        } else {
-            self.best_ext[idx]
-        };
-        if cur.1 == u32::MAX || hi > cur.0 || (hi == cur.0 && ord < self.vord[cur.1 as usize]) {
-            if cov {
-                self.best_cov[idx] = (hi, v);
-            } else {
-                self.best_ext[idx] = (hi, v);
-            }
-        }
-    }
-
-    /// Records the claim of `vseg`: every greedy-step table row whose pick
-    /// it was is rescanned from the column's segment list (claims never
-    /// invalidate failure stamps — they only shrink feasibility).
-    fn claim_vseg(&mut self, vseg: usize, owners: &[Option<NetId>]) {
-        let (col, lo, hi) = self.vseg_span[vseg];
-        let base = col as usize * self.num_channels as usize;
-        for c in lo..=hi {
-            if self.best_cov[base + c as usize].1 == vseg as u32 {
-                self.rescan(true, col as usize, c as usize, owners);
-            }
-        }
-        for r in lo..hi {
-            if self.best_ext[base + r as usize].1 == vseg as u32 {
-                self.rescan(false, col as usize, r as usize, owners);
-            }
-        }
-    }
-
-    /// Recomputes one greedy-step table row by replaying the greedy scan
-    /// over the column's free segments.
-    fn rescan(&mut self, cov: bool, col: usize, row: usize, owners: &[Option<NetId>]) {
-        let mut best = (0u16, u32::MAX);
-        let (s, e) = (
-            self.vcol_start[col] as usize,
-            self.vcol_start[col + 1] as usize,
-        );
-        for &v in &self.vcol_segs[s..e] {
-            if owners[v as usize].is_some() {
-                continue;
-            }
-            let (_, lo, hi) = self.vseg_span[v as usize];
-            let eligible = if cov {
-                lo as usize <= row && hi as usize >= row
-            } else {
-                lo as usize <= row && hi as usize > row
-            };
-            if eligible && (best.1 == u32::MAX || hi as u16 > best.0) {
-                best = (hi as u16, v);
-            }
-        }
-        let idx = col * self.num_channels as usize + row;
-        if cov {
-            self.best_cov[idx] = best;
-        } else {
-            self.best_ext[idx] = best;
-        }
+        let (lo, hi) = self.vseg_span[vseg];
+        self.vchan_mod[lo as usize..=hi as usize].fill(self.vtick);
     }
 
     /// Stamps every (channel, column) covered by `hseg` with a fresh tick.
@@ -313,6 +174,108 @@ impl RetryStamps {
         for col in s..e {
             self.hcol_mod[base + col as usize] = self.htick;
         }
+    }
+}
+
+/// The greedy chain search's pick at every (column, channel), as
+/// bitmasks over ranked segments.
+///
+/// Each column's vertical segments are ranked once by `hi` descending,
+/// then by the architecture's scan order, so among any set of segments the
+/// lowest rank is the one the greedy scan picks (first-in-order max-`hi`).
+/// A per-column *free* mask and a per-(column, channel) *cover* mask of
+/// the segments that can tap the channel then answer a pick with one AND
+/// and a trailing-zero count, and a claim or release flips one bit.
+#[derive(Clone, Debug)]
+struct VerticalPicks {
+    /// Mask words per column: `ceil(segments per column / 64)` over the
+    /// widest column.
+    words: usize,
+    /// Channel count, for indexing `cover`.
+    num_channels: usize,
+    /// Per-column mask of the free segments by rank (`words` words per
+    /// column).
+    free: Vec<u64>,
+    /// Per-(column, channel) mask of the segments with
+    /// `lo <= channel <= hi`, by rank (flat `column × channel × words`).
+    cover: Vec<u64>,
+    /// `(hi, vseg)` per rank slot, `64 × words` slots per column; unused
+    /// slots are never set in any mask.
+    ranked: Vec<(u32, u32)>,
+    /// Per-vseg rank slot, `column × 64 × words + rank` — also the
+    /// segment's bit index into `free`.
+    slot: Vec<u32>,
+}
+
+impl VerticalPicks {
+    /// All segments free.
+    fn new(arch: &Architecture) -> VerticalPicks {
+        let num_cols = arch.geometry().num_cols();
+        let num_channels = arch.geometry().num_channels();
+        let widest = (0..num_cols)
+            .map(|c| arch.vsegs_at(ColId::new(c)).len())
+            .max()
+            .unwrap_or(0);
+        let words = widest.div_ceil(64).max(1);
+        let mut picks = VerticalPicks {
+            words,
+            num_channels,
+            free: vec![0; num_cols * words],
+            cover: vec![0; num_cols * num_channels * words],
+            ranked: vec![(0, u32::MAX); num_cols * words * 64],
+            slot: vec![0; arch.num_vsegs()],
+        };
+        for col in 0..num_cols {
+            let mut segs: Vec<_> = arch.vsegs_at(ColId::new(col)).iter().collect();
+            // Stable, so equal `hi` keeps scan order.
+            segs.sort_by_key(|s| std::cmp::Reverse(s.chan_hi()));
+            for (rank, s) in segs.into_iter().enumerate() {
+                let slot = col * words * 64 + rank;
+                let bit = 1u64 << (rank % 64);
+                picks.slot[s.id().index()] = slot as u32;
+                picks.ranked[slot] = (s.chan_hi().index() as u32, s.id().index() as u32);
+                picks.free[slot / 64] |= bit;
+                for c in s.chan_lo().index()..=s.chan_hi().index() {
+                    picks.cover[(col * num_channels + c) * words + rank / 64] |= bit;
+                }
+            }
+        }
+        picks
+    }
+
+    fn claim(&mut self, vseg: usize) {
+        let slot = self.slot[vseg] as usize;
+        self.free[slot / 64] &= !(1u64 << (slot % 64));
+    }
+
+    fn release(&mut self, vseg: usize) {
+        let slot = self.slot[vseg] as usize;
+        self.free[slot / 64] |= 1u64 << (slot % 64);
+    }
+
+    fn is_free(&self, vseg: usize) -> bool {
+        let slot = self.slot[vseg] as usize;
+        self.free[slot / 64] & (1u64 << (slot % 64)) != 0
+    }
+
+    /// The lowest-ranked free segment at `col` that taps `chan`, with its
+    /// `hi`.
+    fn best_cover(&self, col: usize, chan: usize) -> Option<(usize, VSegId)> {
+        let words = self.words;
+        let cover = self
+            .cover
+            .get((col * self.num_channels + chan) * words..)?
+            .iter();
+        let free = self.free.get(col * words..)?.iter();
+        let (w, m) = cover
+            .zip(free)
+            .take(words)
+            .map(|(c, f)| c & f)
+            .enumerate()
+            .find(|&(_, m)| m != 0)?;
+        let slot = (col * words + w) * 64 + m.trailing_zeros() as usize;
+        let &(hi, v) = self.ranked.get(slot)?;
+        Some((hi as usize, VSegId::new(v as usize)))
     }
 }
 
@@ -341,6 +304,7 @@ pub struct RoutingState {
     undo: UndoLog,
     pool: RoutePool,
     retry: RetryStamps,
+    vpicks: VerticalPicks,
     pub(crate) scratch: PassScratch,
 }
 
@@ -367,6 +331,7 @@ impl RoutingState {
             },
             pool: RoutePool::default(),
             retry: RetryStamps::new(arch, netlist.num_nets()),
+            vpicks: VerticalPicks::new(arch),
             scratch: PassScratch::default(),
         }
     }
@@ -526,10 +491,29 @@ impl RoutingState {
         self.set_route(net, NetRoute::default());
     }
 
-    /// Rips up every net connected to `cell`.
+    /// Rips up every net connected to `cell`, each once, in ascending id
+    /// order (the order of [`Netlist::nets_of_cell`], which fixes the undo
+    /// log's order). The nets are gathered on the stack, so a move's rip-up
+    /// allocates nothing.
     pub fn rip_up_cell(&mut self, netlist: &Netlist, cell: CellId) {
-        for net in netlist.nets_of_cell(cell) {
-            self.rip_up(net);
+        let mut nets = [NetId::default(); MAX_FANIN + 1];
+        let pins = 0..netlist.cell(cell).kind().num_pins() as u8;
+        let mut n = 0;
+        for (slot, net) in nets
+            .iter_mut()
+            .zip(pins.filter_map(|pin| netlist.net_of(PinRef::new(cell, pin))))
+        {
+            *slot = net;
+            n += 1;
+        }
+        let nets = nets.get_mut(..n).unwrap_or_default();
+        nets.sort_unstable();
+        let mut last = None;
+        for &net in nets.iter() {
+            if last != Some(net) {
+                self.rip_up(net);
+                last = Some(net);
+            }
         }
     }
 
@@ -699,6 +683,7 @@ impl RoutingState {
             debug_assert_eq!(self.vseg_owner[v.index()], Some(net));
             self.vseg_owner[v.index()] = None;
             self.retry.free_vseg(v.index());
+            self.vpicks.release(v.index());
         }
         if !route.hsegs.is_empty() {
             self.retry.htick += 1;
@@ -720,7 +705,7 @@ impl RoutingState {
                 "vertical segment {v:?} already owned"
             );
             self.vseg_owner[v.index()] = Some(net);
-            self.retry.claim_vseg(v.index(), &self.vseg_owner);
+            self.vpicks.claim(v.index());
         }
         for (_, segs) in &route.hsegs {
             for h in segs {
@@ -834,18 +819,26 @@ impl RoutingState {
     }
 
     /// The free vertical segment the greedy chain search would pick as its
-    /// *first* segment at `col` to tap channel `chan`, with the channel it
-    /// reaches — one table lookup in place of the scan.
+    /// *first* segment at `col` to tap channel `chan` (`lo <= chan <= hi`,
+    /// first-in-order max-`hi`), with the channel it reaches.
     pub(crate) fn best_cover(&self, col: usize, chan: usize) -> Option<(usize, VSegId)> {
-        let (hi, v) = self.retry.best_cov[col * self.retry.num_channels as usize + chan];
-        (v != u32::MAX).then(|| (hi as usize, VSegId::new(v as usize)))
+        self.vpicks.best_cover(col, chan)
     }
 
     /// The free vertical segment the greedy chain search would pick to
-    /// extend reach `r` at `col`, with the channel it reaches.
+    /// extend reach `r` at `col` (`lo <= r < hi`, first-in-order max-`hi`),
+    /// with the channel it reaches. The max-`hi` segment that taps `r` is
+    /// also the max-`hi` extender of `r` whenever any extender exists, so
+    /// this is the cover pick at `r` filtered by `hi > r`.
     pub(crate) fn best_extend(&self, col: usize, r: usize) -> Option<(usize, VSegId)> {
-        let (hi, v) = self.retry.best_ext[col * self.retry.num_channels as usize + r];
-        (v != u32::MAX).then(|| (hi as usize, VSegId::new(v as usize)))
+        self.vpicks.best_cover(col, r).filter(|&(hi, _)| hi > r)
+    }
+
+    /// Whether the vertical-pick mask marks `seg` free — an independent
+    /// copy of `vseg_owner(seg).is_none()` that
+    /// [`verify_routing`](crate::verify_routing) cross-checks.
+    pub(crate) fn vseg_marked_free(&self, seg: VSegId) -> bool {
+        self.vpicks.is_free(seg.index())
     }
 
     /// Whether the (net, channel) detail attempt over columns `lo..=hi` is
@@ -1089,6 +1082,33 @@ mod tests {
     }
 
     #[test]
+    fn rip_up_cell_rips_each_net_once_in_id_order() {
+        // `g` sees net `na` on both inputs and drives `ng`; `na` is
+        // created first, so pin order (`ng`, `na`, `na`) is not id order.
+        let mut b = Netlist::builder();
+        let a = b.add_cell("a", rowfpga_netlist::CellKind::Input);
+        let g = b.add_cell("g", rowfpga_netlist::CellKind::comb(2));
+        let q = b.add_cell("q", rowfpga_netlist::CellKind::Output);
+        b.connect("na", a, [(g, 1), (g, 2)]).unwrap();
+        b.connect("ng", g, [(q, 0)]).unwrap();
+        let nl = b.build().unwrap();
+        let arch = Architecture::builder()
+            .rows(2)
+            .cols(4)
+            .io_columns(1)
+            .build()
+            .unwrap();
+        let mut st = RoutingState::new(&arch, &nl);
+        st.begin_txn();
+        st.rip_up_cell(&nl, g);
+        let (na, ng) = (nl.net_by_name("na").unwrap(), nl.net_by_name("ng").unwrap());
+        assert!(na < ng);
+        assert_eq!(st.touched_nets(), &[na, ng]);
+        assert_eq!(st.touched_nets(), &nl.nets_of_cell(g)[..]);
+        st.rollback();
+    }
+
+    #[test]
     fn rip_up_cell_requeues_all_its_nets() {
         let (_, nl, mut st) = setup();
         let (cell, _) = nl.cells().find(|(_, c)| !c.kind().is_io()).unwrap();
@@ -1277,7 +1297,7 @@ impl RoutingState {
                     });
                 }
                 st.vseg_owner[v] = Some(net);
-                st.retry.claim_vseg(v, &st.vseg_owner);
+                st.vpicks.claim(v);
             }
             for (_, segs) in &snap.hsegs {
                 for &h in segs {
@@ -1367,6 +1387,198 @@ impl RoutingState {
             }
         }
         false
+    }
+}
+
+#[cfg(test)]
+mod pick_tests {
+    use super::*;
+    use crate::config::RouterConfig;
+    use crate::verify::{verify_routing, RouteVerifyError};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use rowfpga_arch::{SegmentationScheme, VerticalScheme};
+    use rowfpga_netlist::{generate, GenerateConfig};
+    use rowfpga_place::Placement;
+
+    /// The greedy scan the bitmask picks replace: over the free segments
+    /// of `col` in `vsegs_at` order, the first with the strictly largest
+    /// `hi` among those that tap `row` (`lo <= row <= hi`) or, when
+    /// `extend`, that extend it (`lo <= row < hi`).
+    fn reference_pick(
+        st: &RoutingState,
+        arch: &Architecture,
+        col: usize,
+        row: usize,
+        extend: bool,
+    ) -> Option<(usize, VSegId)> {
+        let mut best: Option<(usize, VSegId)> = None;
+        for s in arch.vsegs_at(ColId::new(col)) {
+            if st.vseg_owner(s.id()).is_some() {
+                continue;
+            }
+            let (lo, hi) = (s.chan_lo().index(), s.chan_hi().index());
+            let eligible = lo <= row && if extend { row < hi } else { row <= hi };
+            if eligible && best.is_none_or(|(b, _)| hi > b) {
+                best = Some((hi, s.id()));
+            }
+        }
+        best
+    }
+
+    fn assert_picks_match(st: &RoutingState, arch: &Architecture, when: &str) {
+        for col in 0..arch.geometry().num_cols() {
+            for c in 0..arch.geometry().num_channels() {
+                assert_eq!(
+                    st.best_cover(col, c),
+                    reference_pick(st, arch, col, c, false),
+                    "cover pick at column {col}, channel {c}, {when}"
+                );
+                assert_eq!(
+                    st.best_extend(col, c),
+                    reference_pick(st, arch, col, c, true),
+                    "extend pick at column {col}, channel {c}, {when}"
+                );
+            }
+        }
+    }
+
+    /// Random swap → rip-up → reroute → commit/rollback sequences, with the
+    /// picks checked against the reference scan after every step.
+    fn picks_follow_ownership(arch: &Architecture, nl: &Netlist, seed: u64) {
+        let cfg = RouterConfig::default();
+        let mut p = Placement::random(arch, nl, seed).unwrap();
+        let mut st = RoutingState::new(arch, nl);
+        assert_picks_match(&st, arch, "on a fresh state");
+        st.route_incremental(arch, nl, &p, &cfg);
+        assert_picks_match(&st, arch, "after the first routing pass");
+        let claimed = (0..arch.num_vsegs())
+            .filter(|&v| st.vseg_owner(VSegId::new(v)).is_some())
+            .count();
+        assert!(claimed > 0, "the fixture must claim vertical segments");
+        let cells: Vec<CellId> = nl
+            .cells()
+            .filter(|(_, c)| !c.kind().is_io())
+            .map(|(id, _)| id)
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for step in 0..40 {
+            let a = cells[rng.gen_range(0..cells.len())];
+            let b = cells[rng.gen_range(0..cells.len())];
+            st.begin_txn();
+            p.swap_sites(arch, p.site_of(a), p.site_of(b));
+            st.rip_up_cell(nl, a);
+            st.rip_up_cell(nl, b);
+            assert_picks_match(&st, arch, &format!("after rip-up {step}"));
+            st.route_incremental(arch, nl, &p, &cfg);
+            assert_picks_match(&st, arch, &format!("after reroute {step}"));
+            if rng.gen_bool(0.5) {
+                st.commit();
+            } else {
+                st.rollback();
+                p.swap_sites(arch, p.site_of(a), p.site_of(b));
+            }
+            assert_picks_match(&st, arch, &format!("after commit/rollback {step}"));
+        }
+        verify_routing(&st, arch, nl, &p).unwrap();
+    }
+
+    fn widest_column(arch: &Architecture) -> usize {
+        (0..arch.geometry().num_cols())
+            .map(|c| arch.vsegs_at(ColId::new(c)).len())
+            .max()
+            .unwrap()
+    }
+
+    #[test]
+    fn picks_match_the_greedy_scan_on_an_actel_chip() {
+        let nl = generate(&GenerateConfig {
+            num_cells: 120,
+            num_inputs: 6,
+            num_outputs: 6,
+            num_seq: 8,
+            ..GenerateConfig::default()
+        });
+        let arch = Architecture::builder()
+            .rows(10)
+            .cols(16)
+            .io_columns(1)
+            .tracks_per_channel(36)
+            .segmentation(SegmentationScheme::ActelLike { seed: 3 })
+            .verticals(VerticalScheme::WithLongLines {
+                tracks_per_column: 6,
+                span: 3,
+            })
+            .build()
+            .unwrap();
+        assert!(widest_column(&arch) <= 64, "one mask word per column");
+        picks_follow_ownership(&arch, &nl, 11);
+    }
+
+    #[test]
+    fn picks_match_the_greedy_scan_across_two_mask_words() {
+        let nl = generate(&GenerateConfig {
+            num_cells: 90,
+            num_inputs: 6,
+            num_outputs: 6,
+            num_seq: 6,
+            ..GenerateConfig::default()
+        });
+        let arch = Architecture::builder()
+            .rows(19)
+            .cols(8)
+            .io_columns(1)
+            .tracks_per_channel(16)
+            .segmentation(SegmentationScheme::ActelLike { seed: 3 })
+            .verticals(VerticalScheme::WithLongLines {
+                tracks_per_column: 10,
+                span: 3,
+            })
+            .build()
+            .unwrap();
+        assert!(widest_column(&arch) > 64, "two mask words per column");
+        picks_follow_ownership(&arch, &nl, 12);
+    }
+
+    #[test]
+    fn verification_catches_a_stale_free_bit() {
+        let nl = generate(&GenerateConfig {
+            num_cells: 50,
+            num_inputs: 6,
+            num_outputs: 6,
+            num_seq: 3,
+            ..GenerateConfig::default()
+        });
+        let arch = Architecture::builder()
+            .rows(5)
+            .cols(14)
+            .io_columns(2)
+            .tracks_per_channel(16)
+            .build()
+            .unwrap();
+        let p = Placement::random(&arch, &nl, 17).unwrap();
+        let mut st = RoutingState::new(&arch, &nl);
+        st.route_incremental(&arch, &nl, &p, &RouterConfig::default());
+        verify_routing(&st, &arch, &nl, &p).unwrap();
+        let owned = (0..arch.num_vsegs())
+            .find(|&v| st.vseg_owner(VSegId::new(v)).is_some())
+            .expect("some vertical segment claimed");
+        let free = (0..arch.num_vsegs())
+            .find(|&v| st.vseg_owner(VSegId::new(v)).is_none())
+            .expect("some vertical segment free");
+
+        let mut skips_free = st.clone();
+        skips_free.vpicks.claim(free);
+        assert!(matches!(
+            verify_routing(&skips_free, &arch, &nl, &p),
+            Err(RouteVerifyError::OwnershipMismatch { .. })
+        ));
+        let mut takes_owned = st;
+        takes_owned.vpicks.release(owned);
+        assert!(matches!(
+            verify_routing(&takes_owned, &arch, &nl, &p),
+            Err(RouteVerifyError::OwnershipMismatch { .. })
+        ));
     }
 }
 

@@ -2,9 +2,10 @@
 //!
 //! [`verify_routing`] re-derives every net's geometric requirements from the
 //! placement and checks the routing state against them from first
-//! principles: exclusive segment ownership, single-track consecutive runs
-//! covering every span, vertical chains that actually reach every pin
-//! channel, and queue bookkeeping consistent with the route records. The
+//! principles: exclusive segment ownership (with the router's vertical free
+//! mask agreeing with it), single-track consecutive runs covering every
+//! span, vertical chains that actually reach every pin channel, and queue
+//! bookkeeping consistent with the route records. The
 //! layout engines never call this in their inner loops — it exists so tests
 //! (and paranoid users) can audit any state the optimizer produces.
 
@@ -290,11 +291,23 @@ pub fn verify_routing(
         }
     }
     for i in 0..arch.num_vsegs() {
+        let id = rowfpga_arch::VSegId::new(i);
         let from_routes = v_owners.get(&i).copied();
-        let recorded = state.vseg_owner(rowfpga_arch::VSegId::new(i));
+        let recorded = state.vseg_owner(id);
         if from_routes != recorded {
             return Err(RouteVerifyError::OwnershipMismatch {
                 detail: format!("vseg {i}: routes say {from_routes:?}, owner array {recorded:?}"),
+            });
+        }
+        // The global router picks from a free mask that duplicates the
+        // owner array; a stale bit would take an owned segment or skip a
+        // free one.
+        if state.vseg_marked_free(id) != recorded.is_none() {
+            return Err(RouteVerifyError::OwnershipMismatch {
+                detail: format!(
+                    "vseg {i}: free mask says free={}, owner array {recorded:?}",
+                    state.vseg_marked_free(id)
+                ),
             });
         }
     }

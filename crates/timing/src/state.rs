@@ -4,14 +4,12 @@
 //! Cells are levelized once (levels depend only on connectivity). After a
 //! move reroutes a set of nets, their interconnect delays are recomputed
 //! and the change is propagated to the path boundaries through a *frontier*
-//! of affected cells, always processing the frontier cell with the minimum
-//! level: a cell's output arrival is refreshed from its inputs, and only if
-//! it changed are its fanout cells added. Expansion stops when the frontier
-//! empties. All mutations are journaled so a rejected move can be undone
-//! exactly.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! of affected cells, bucketed by level and swept upward: a cell's output
+//! arrival is refreshed from its inputs, and only if it changed are its
+//! fanout cells added. Every fanout edge between non-boundary cells climbs
+//! a level, so each queued cell is processed exactly once, after all of its
+//! drivers. Expansion stops when the sweep passes the highest queued level.
+//! All mutations are journaled so a rejected move can be undone exactly.
 
 use rowfpga_arch::Architecture;
 use rowfpga_netlist::{CellId, CellKind, CombLoopError, Levels, NetId, Netlist, PinRef};
@@ -44,9 +42,10 @@ struct FaninEdge {
 }
 
 /// Lookup tables derived from connectivity and fabric delay parameters,
-/// both immutable for the lifetime of the state: per-cell fanin edges in
-/// CSR form, intrinsic delays, levels and sink classification. These turn
-/// the frontier's inner loop into flat array reads.
+/// both immutable for the lifetime of the state: per-cell fanin edges and
+/// the sink cells of every net and of every cell's driven net, in CSR form,
+/// plus intrinsic delays, levels and sink classification. These turn the
+/// frontier's inner loop into flat array reads.
 #[derive(Clone, Debug)]
 struct CellTables {
     fanin_start: Vec<u32>,
@@ -55,6 +54,14 @@ struct CellTables {
     endpoint_intrinsic: Vec<f64>,
     level: Vec<u32>,
     sink_class: Vec<u8>,
+    /// CSR offsets into `net_sinks`, one slice per net.
+    net_sink_start: Vec<u32>,
+    /// Each net's sink cells.
+    net_sinks: Vec<u32>,
+    /// CSR offsets into `fanout`, one slice per cell.
+    fanout_start: Vec<u32>,
+    /// Each cell's driven-net sink cells (none for cells without one).
+    fanout: Vec<u32>,
 }
 
 impl CellTables {
@@ -68,7 +75,17 @@ impl CellTables {
             endpoint_intrinsic: Vec::with_capacity(n),
             level: Vec::with_capacity(n),
             sink_class: Vec::with_capacity(n),
+            net_sink_start: Vec::with_capacity(netlist.num_nets() + 1),
+            net_sinks: Vec::new(),
+            fanout_start: Vec::with_capacity(n + 1),
+            fanout: Vec::new(),
         };
+        for (_, net) in netlist.nets() {
+            t.net_sink_start.push(t.net_sinks.len() as u32);
+            t.net_sinks
+                .extend(net.sinks().iter().map(|s| s.cell.index() as u32));
+        }
+        t.net_sink_start.push(t.net_sinks.len() as u32);
         for (id, cell) in netlist.cells() {
             let kind = cell.kind();
             t.fanin_start.push(t.fanin_edges.len() as u32);
@@ -105,11 +122,40 @@ impl CellTables {
             } else {
                 SINK_INTERNAL
             });
+            t.fanout_start.push(t.fanout.len() as u32);
+            if let Some(net) = netlist.driven_net(id) {
+                t.fanout.extend(
+                    netlist
+                        .net(net)
+                        .sinks()
+                        .iter()
+                        .map(|s| s.cell.index() as u32),
+                );
+            }
         }
         t.fanin_start.push(t.fanin_edges.len() as u32);
+        t.fanout_start.push(t.fanout.len() as u32);
         t
     }
     // rowfpga-lint: end-allow(hot-path)
+
+    /// The sink cells of `net`.
+    fn net_sinks(&self, net: NetId) -> &[u32] {
+        csr_row(&self.net_sink_start, &self.net_sinks, net.index())
+    }
+
+    /// The sink cells of the net `cell` drives.
+    fn fanout(&self, cell: usize) -> &[u32] {
+        csr_row(&self.fanout_start, &self.fanout, cell)
+    }
+}
+
+/// Row `i` of a CSR table (empty if out of range).
+fn csr_row<'a>(start: &[u32], items: &'a [u32], i: usize) -> &'a [u32] {
+    let (Some(&lo), Some(&hi)) = (start.get(i), start.get(i + 1)) else {
+        return &[];
+    };
+    items.get(lo as usize..hi as usize).unwrap_or_default()
 }
 
 /// Generation-stamped undo log: the first mutation of each quantity inside
@@ -131,16 +177,83 @@ struct UndoLog {
 
 const DELAY_POOL_CAP: usize = 256;
 
-/// Reusable buffers for [`TimingState::update_nets`]: the level-ordered
-/// frontier heap (always drained, so its allocation persists), epoch-stamped
-/// queued/dirty marks (no per-call clearing), a pool of retired sink-delay
-/// vectors and the Elmore evaluation scratch.
+/// The propagation frontier of [`TimingState::update_nets`]: one bucket of
+/// queued cells per level (always emptied by the sweep, so their
+/// allocations persist) and epoch-stamped queued/dirty marks (no per-call
+/// clearing).
 #[derive(Clone, Debug, Default)]
-struct UpdateScratch {
-    frontier: BinaryHeap<Reverse<(u32, CellId)>>,
+struct Frontier {
+    buckets: Vec<Vec<u32>>,
+    /// Lowest and highest level queued since the last sweep.
+    lo: usize,
+    hi: usize,
     epoch: u64,
     queued: Vec<u64>,
     endpoint_dirty: Vec<u64>,
+}
+
+impl Frontier {
+    /// Starts a new propagation: nothing queued, no endpoint dirty.
+    fn begin(&mut self) {
+        self.epoch += 1;
+        self.lo = usize::MAX;
+        self.hi = 0;
+    }
+
+    /// Queues each non-boundary cell of `sinks` in its level's bucket (once
+    /// per propagation) and marks each endpoint among them dirty.
+    fn push_sinks(&mut self, tables: &CellTables, sinks: &[u32]) {
+        for &cell in sinks {
+            let i = cell as usize;
+            match tables.sink_class.get(i) {
+                Some(&SINK_INTERNAL) => {
+                    let (Some(q), Some(&level)) = (self.queued.get_mut(i), tables.level.get(i))
+                    else {
+                        continue;
+                    };
+                    if *q == self.epoch {
+                        continue;
+                    }
+                    *q = self.epoch;
+                    let level = level as usize;
+                    if let Some(bucket) = self.buckets.get_mut(level) {
+                        bucket.push(cell);
+                        self.lo = self.lo.min(level);
+                        self.hi = self.hi.max(level);
+                    }
+                }
+                Some(&SINK_ENDPOINT) => {
+                    if let Some(d) = self.endpoint_dirty.get_mut(i) {
+                        *d = self.epoch;
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Takes the cells queued at `level` out of its bucket.
+    fn take_level(&mut self, level: usize) -> Vec<u32> {
+        self.buckets
+            .get_mut(level)
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
+    /// Returns a swept bucket's (cleared) allocation.
+    fn put_level(&mut self, level: usize, mut cells: Vec<u32>) {
+        if let Some(bucket) = self.buckets.get_mut(level) {
+            cells.clear();
+            *bucket = cells;
+        }
+    }
+}
+
+/// Reusable buffers for [`TimingState::update_nets`]: the frontier, a pool
+/// of retired sink-delay vectors and the Elmore evaluation scratch.
+#[derive(Clone, Debug, Default)]
+struct UpdateScratch {
+    frontier: Frontier,
     delay_pool: Vec<Vec<f64>>,
     elmore: ElmoreScratch,
 }
@@ -179,6 +292,7 @@ impl TimingState {
     ) -> Result<TimingState, CombLoopError> {
         let levels = Levels::compute(netlist)?;
         let tables = CellTables::build(arch, netlist, &levels);
+        let num_levels = levels.max_level() as usize + 1;
         let endpoints = netlist
             .cells()
             .filter(|(_, c)| is_endpoint(c.kind()))
@@ -204,8 +318,12 @@ impl TimingState {
                 worst: None,
             },
             scratch: UpdateScratch {
-                queued: vec![0; netlist.num_cells()],
-                endpoint_dirty: vec![0; netlist.num_cells()],
+                frontier: Frontier {
+                    buckets: vec![Vec::new(); num_levels],
+                    queued: vec![0; netlist.num_cells()],
+                    endpoint_dirty: vec![0; netlist.num_cells()],
+                    ..Frontier::default()
+                },
                 ..UpdateScratch::default()
             },
             last_frontier: 0,
@@ -375,8 +493,8 @@ impl TimingState {
     }
 
     /// Recomputes the delays of `changed` nets and propagates arrivals to
-    /// the boundaries through a min-level frontier. Returns the new worst
-    /// delay.
+    /// the boundaries through a level-bucketed frontier. Returns the new
+    /// worst delay.
     pub fn update_nets(
         &mut self,
         arch: &Architecture,
@@ -390,17 +508,7 @@ impl TimingState {
             return self.worst;
         }
         self.save_worst();
-
-        // Epoch stamps replace per-call boolean arrays: a mark is "set" iff
-        // its stamp equals this call's epoch, so nothing is ever cleared.
-        self.scratch.epoch += 1;
-        let epoch = self.scratch.epoch;
-        // Frontier keyed by level so arrival refreshes happen in dependency
-        // order even across reconvergent fanout. The heap is always drained
-        // below, so its allocation persists across calls; it is taken out
-        // of the scratch for the duration to keep the borrows disjoint.
-        let mut frontier = std::mem::take(&mut self.scratch.frontier);
-        debug_assert!(frontier.is_empty());
+        self.scratch.frontier.begin();
 
         for &net in changed {
             self.save_net(net);
@@ -413,50 +521,46 @@ impl TimingState {
                 &mut self.scratch.elmore,
                 &mut self.net_delays[net.index()],
             );
-            for s in netlist.net(net).sinks() {
-                let i = s.cell.index();
-                match self.tables.sink_class[i] {
-                    SINK_INTERNAL if self.scratch.queued[i] != epoch => {
-                        self.scratch.queued[i] = epoch;
-                        frontier.push(Reverse((self.tables.level[i], s.cell)));
-                    }
-                    SINK_ENDPOINT => self.scratch.endpoint_dirty[i] = epoch,
-                    _ => {}
-                }
-            }
+            self.scratch
+                .frontier
+                .push_sinks(&self.tables, self.tables.net_sinks(net));
         }
 
-        while let Some(Reverse((_, cell))) = frontier.pop() {
-            self.last_frontier += 1;
-            // 0 never equals a live epoch, so a processed cell can be
-            // re-queued if a later driver change reaches it again.
-            self.scratch.queued[cell.index()] = 0;
-            let new_arr =
-                self.worst_fanin(cell).unwrap_or(0.0) + self.tables.intrinsic[cell.index()];
-            if (new_arr - self.arr[cell.index()]).abs() <= EPS {
-                continue;
-            }
-            self.save_arr(cell);
-            self.arr[cell.index()] = new_arr;
-            if let Some(net) = netlist.driven_net(cell) {
-                for s in netlist.net(net).sinks() {
-                    let i = s.cell.index();
-                    match self.tables.sink_class[i] {
-                        SINK_INTERNAL if self.scratch.queued[i] != epoch => {
-                            self.scratch.queued[i] = epoch;
-                            frontier.push(Reverse((self.tables.level[i], s.cell)));
-                        }
-                        SINK_ENDPOINT => self.scratch.endpoint_dirty[i] = epoch,
-                        _ => {}
-                    }
+        // Sweep the levels upward. A cell's fanout sits at strictly higher
+        // levels, so the bucket being swept never grows and every cell sees
+        // final arrivals on all of its inputs; the order within a level is
+        // irrelevant, since same-level cells never feed each other.
+        let mut level = self.scratch.frontier.lo;
+        while level <= self.scratch.frontier.hi {
+            let cells = self.scratch.frontier.take_level(level);
+            for &cell in &cells {
+                self.last_frontier += 1;
+                let i = cell as usize;
+                let (Some(&intrinsic), Some(&old)) =
+                    (self.tables.intrinsic.get(i), self.arr.get(i))
+                else {
+                    continue;
+                };
+                let new_arr = self.worst_fanin(CellId::new(i)).unwrap_or(0.0) + intrinsic;
+                if (new_arr - old).abs() <= EPS {
+                    continue;
                 }
+                self.save_arr(CellId::new(i));
+                if let Some(a) = self.arr.get_mut(i) {
+                    *a = new_arr;
+                }
+                self.scratch
+                    .frontier
+                    .push_sinks(&self.tables, self.tables.fanout(i));
             }
+            self.scratch.frontier.put_level(level, cells);
+            level += 1;
         }
-        self.scratch.frontier = frontier;
 
+        let epoch = self.scratch.frontier.epoch;
         for i in 0..self.endpoints.len() {
             let e = self.endpoints[i];
-            if self.scratch.endpoint_dirty[e.index()] != epoch {
+            if self.scratch.frontier.endpoint_dirty[e.index()] != epoch {
                 continue;
             }
             let ea = self.worst_fanin(e).unwrap_or(0.0) + self.tables.endpoint_intrinsic[e.index()];
@@ -664,6 +768,103 @@ mod tests {
         for (id, _) in nl.nets() {
             assert_eq!(ts.net_delays(id), reference.net_delays(id));
         }
+    }
+
+    /// Bit patterns of every output and endpoint arrival, plus `worst`.
+    fn arrival_bits(ts: &TimingState) -> (Vec<u64>, Vec<u64>, u64) {
+        (
+            ts.arr.iter().map(|a| a.to_bits()).collect(),
+            ts.endpoint_arr.iter().map(|a| a.to_bits()).collect(),
+            ts.worst.to_bits(),
+        )
+    }
+
+    #[test]
+    fn reconvergent_frontier_processes_each_cell_once() {
+        // inp reaches `join` twice: through the chain c1 → c2 → c3, and
+        // directly. join then feeds tail → out.
+        let mut b = Netlist::builder();
+        let inp = b.add_cell("inp", CellKind::Input);
+        let c1 = b.add_cell("c1", CellKind::comb(1));
+        let c2 = b.add_cell("c2", CellKind::comb(1));
+        let c3 = b.add_cell("c3", CellKind::comb(1));
+        let join = b.add_cell("join", CellKind::comb(2));
+        let tail = b.add_cell("tail", CellKind::comb(1));
+        let out = b.add_cell("out", CellKind::Output);
+        b.connect("n_in", inp, [(c1, 1), (join, 2)]).unwrap();
+        b.connect("n1", c1, [(c2, 1)]).unwrap();
+        b.connect("n2", c2, [(c3, 1)]).unwrap();
+        b.connect("n3", c3, [(join, 1)]).unwrap();
+        b.connect("nj", join, [(tail, 1)]).unwrap();
+        b.connect("nt", tail, [(out, 0)]).unwrap();
+        let nl = b.build().unwrap();
+        let arch = Architecture::builder()
+            .rows(4)
+            .cols(8)
+            .io_columns(1)
+            .tracks_per_channel(12)
+            .build()
+            .unwrap();
+        let cfg = RouterConfig::default();
+        let mut p = Placement::random(&arch, &nl, 4).unwrap();
+        let mut st = RoutingState::new(&arch, &nl);
+        assert!(route_batch(&mut st, &arch, &nl, &p, &cfg, 4).fully_routed);
+        let mut ts = TimingState::new(&arch, &nl, &p, &st).unwrap();
+        let before = ts.clone();
+
+        // Move the input to the farthest free I/O site and reroute its net.
+        let geom = arch.geometry();
+        let here = geom.site(p.site_of(inp));
+        let far = geom
+            .sites_of_kind(rowfpga_arch::SiteKind::Io)
+            .filter(|s| p.cell_at(s.id()).is_none())
+            .max_by_key(|s| {
+                s.row().index().abs_diff(here.row().index())
+                    + s.col().index().abs_diff(here.col().index())
+            })
+            .unwrap()
+            .id();
+        let from = p.site_of(inp);
+        st.begin_txn();
+        ts.begin_txn();
+        p.swap_sites(&arch, from, far);
+        st.rip_up_cell(&nl, inp);
+        st.route_incremental(&arch, &nl, &p, &cfg);
+        let changed = st.touched_nets().to_vec();
+        assert_eq!(changed, vec![nl.net_by_name("n_in").unwrap()]);
+        ts.update_nets(&arch, &nl, &p, &st, &changed);
+
+        let full = TimingState::new(&arch, &nl, &p, &st).unwrap();
+        assert_eq!(arrival_bits(&ts), arrival_bits(&full));
+
+        // The non-boundary cells the change reaches: sinks of the rerouted
+        // net, then the fanout of every reached cell whose arrival moved.
+        let mut reached = vec![false; nl.num_cells()];
+        let mut stack: Vec<CellId> = nl.net(changed[0]).sinks().iter().map(|s| s.cell).collect();
+        while let Some(c) = stack.pop() {
+            if nl.cell(c).kind().is_boundary() || reached[c.index()] {
+                continue;
+            }
+            reached[c.index()] = true;
+            if full.arrival(c) != before.arrival(c) {
+                let net = nl.driven_net(c).unwrap();
+                stack.extend(nl.net(net).sinks().iter().map(|s| s.cell));
+            }
+        }
+        for c in [c1, c2, c3, join, tail] {
+            assert!(reached[c.index()], "{c:?} not reached");
+        }
+        assert_ne!(full.arrival(c3), before.arrival(c3), "join reached twice");
+        assert_eq!(
+            ts.last_frontier(),
+            reached.iter().filter(|&&r| r).count(),
+            "each reached cell processed exactly once"
+        );
+
+        ts.rollback();
+        st.rollback();
+        p.swap_sites(&arch, far, from);
+        assert_eq!(arrival_bits(&ts), arrival_bits(&before));
     }
 
     #[test]

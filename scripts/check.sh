@@ -97,9 +97,14 @@ if want smoke; then
   run_cli generate \
     --cells 120 --inputs 8 --outputs 8 --seq 6 --seed 7 \
     -o "$smoke_dir/smoke.net"
-  # A full-effort run on this design takes well over two seconds, so the
-  # deadline must trip, degrade gracefully and leave a final checkpoint.
-  run_cli layout "$smoke_dir/smoke.net" \
+  run_cli generate \
+    --cells 160 --inputs 8 --outputs 8 --seq 6 --seed 7 \
+    -o "$smoke_dir/deadline.net"
+  # A full-effort debug run on the 160-cell design takes 12.2 s on a
+  # 2-vCPU VM (the 120-cell one 6.9 s), so a runner several times faster
+  # still trips the deadline, which must degrade gracefully and leave a
+  # final checkpoint.
+  run_cli layout "$smoke_dir/deadline.net" \
     --deadline 2 --checkpoint "$smoke_dir/smoke.ckpt" \
     > "$smoke_dir/smoke.out"
   cat "$smoke_dir/smoke.out"
@@ -109,7 +114,7 @@ if want smoke; then
     || { echo "FAIL: no valid checkpoint after deadline stop"; exit 1; }
   # The checkpoint must load and resume (a zero deadline proves loading
   # without paying for the rest of the anneal).
-  run_cli layout "$smoke_dir/smoke.net" \
+  run_cli layout "$smoke_dir/deadline.net" \
     --resume "$smoke_dir/smoke.ckpt" --deadline 0 \
     > "$smoke_dir/resume.out"
   cat "$smoke_dir/resume.out"
@@ -129,7 +134,7 @@ if want smoke; then
     || { echo "FAIL: two-replica layout left nets unrouted"; exit 1; }
 
   echo "== parallel resilience smoke (2 replicas: 2 s deadline -> checkpoint -> resume)"
-  run_cli layout "$smoke_dir/smoke.net" --threads 2 \
+  run_cli layout "$smoke_dir/deadline.net" --threads 2 \
     --deadline 2 --checkpoint "$smoke_dir/par.ckpt" \
     > "$smoke_dir/par-deadline.out"
   cat "$smoke_dir/par-deadline.out"
@@ -137,7 +142,7 @@ if want smoke; then
     || { echo "FAIL: 2 s deadline did not stop the two-replica run"; exit 1; }
   grep -q '"format": *"rowfpga-checkpoint"' "$smoke_dir/par.ckpt" \
     || { echo "FAIL: no valid checkpoint after the two-replica deadline stop"; exit 1; }
-  run_cli layout "$smoke_dir/smoke.net" --threads 2 \
+  run_cli layout "$smoke_dir/deadline.net" --threads 2 \
     --resume "$smoke_dir/par.ckpt" --deadline 0 \
     > "$smoke_dir/par-resume.out"
   cat "$smoke_dir/par-resume.out"
@@ -156,7 +161,7 @@ if want smoke; then
   [ -S "$serve_sock" ] || { echo "FAIL: daemon socket never appeared"; exit 1; }
   # Graceful degradation over the wire: the 2 s budget expires mid-anneal
   # and the job *completes* with its best-so-far layout.
-  "$target_dir/debug/rowfpga" submit "$smoke_dir/smoke.net" \
+  "$target_dir/debug/rowfpga" submit "$smoke_dir/deadline.net" \
     --socket "$serve_sock" --deadline 2 --wait --timeout 300 \
     > "$smoke_dir/submit.out"
   cat "$smoke_dir/submit.out"
@@ -200,6 +205,11 @@ if want bench; then
   # because turnaround is dominated by the job mix, not the engine.
   "$target_dir/release/serve" --quick \
     --out "$smoke_dir/BENCH_service.json"
+  echo "== perfbench tests (traced run = untraced, probe replays apply_move, pinned inputs)"
+  # perfbench is a workspace of its own with its own lock file; building
+  # it into the shared target dir keeps build output out of perfbench/.
+  CARGO_TARGET_DIR="$target_dir" cargo test --release --offline --locked -q \
+    --manifest-path perfbench/Cargo.toml
 fi
 
 if want fuzz; then
