@@ -28,11 +28,12 @@
 //! resilience layer uses for checkpointing, deadlines and mid-run audits.
 //!
 //! [`anneal_replicas`] steps `K` replicas of a [`ReplicaProblem`] in
-//! lockstep — replica 0 on the calling thread, the rest on scoped
-//! `std::thread`s — with a caller-side [`Coordinator`] at every
-//! temperature boundary and periodic best-layout exchange. It is
-//! deterministic in `(seed, K)` and, at `K = 1`, the sequential engine
-//! itself; [`anneal_parallel`] is its plain run-to-the-end form.
+//! lockstep, one fork-join per temperature — replica 0 on the calling
+//! thread, the rest on scoped `std::thread`s — with the
+//! [`ReplicaHooks`] boundary work and periodic best-layout exchange on the
+//! calling thread between temperatures. It is deterministic in `(seed, K)`
+//! and, at `K = 1`, the sequential engine itself; [`anneal_parallel`] is
+//! its plain run-to-the-end form.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,8 +46,8 @@ use rowfpga_obs::{Event, Obs, TemperatureRecord};
 mod parallel;
 
 pub use parallel::{
-    anneal_parallel, anneal_replicas, replica_seed, Coordinator, ParallelConfig, ParallelOutcome,
-    ReplicaHooks, ReplicaProblem, ReplicaReport, ReplicaRun, ReplicaStatus, Verdict,
+    anneal_parallel, anneal_replicas, replica_seed, ParallelOutcome, ReplicaHooks, ReplicaProblem,
+    ReplicaReport, ReplicaRun, ReplicaStatus, Verdict, EXCHANGE_EVERY,
 };
 
 /// A combinatorial problem optimizable by the annealing engine.
@@ -596,24 +597,24 @@ mod tests {
 
     #[test]
     fn obs_handle_records_moves_spans_and_temperature_events() {
-        use std::cell::Cell;
-        use std::rc::Rc;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
 
-        struct CountTemps(Rc<Cell<usize>>);
+        struct CountTemps(Arc<AtomicUsize>);
         impl rowfpga_obs::Recorder for CountTemps {
             fn record(&mut self, event: &Event) {
                 if matches!(event, Event::Temperature(_)) {
-                    self.0.set(self.0.get() + 1);
+                    self.0.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
 
-        let temps_seen = Rc::new(Cell::new(0usize));
+        let temps_seen = Arc::new(AtomicUsize::new(0));
         let obs = Obs::with_sink(Box::new(CountTemps(temps_seen.clone())));
         let mut toy = Toy::new(6);
         let out = anneal_obs(&mut toy, &AnnealConfig::fast(), |_| {}, &obs);
 
-        assert_eq!(temps_seen.get(), out.temperatures);
+        assert_eq!(temps_seen.load(Ordering::Relaxed), out.temperatures);
         obs.with_session(|s| {
             assert_eq!(
                 s.metrics.counter("anneal.moves") + s.metrics.counter("anneal.warmup_moves"),

@@ -1,38 +1,36 @@
 //! Multi-replica annealing: the one annealing loop.
 //!
 //! `K` replicas of one problem anneal in lockstep, a temperature at a time,
-//! each with its own RNG stream ([`replica_seed`]). Replica 0 runs on the
-//! calling thread, so `K = 1` spawns nothing and is the sequential
-//! [`Annealer`] stepped one temperature at a time; replicas `1..K` run on
-//! scoped threads. Every temperature boundary is a rendezvous at a
-//! [`Barrier`]: each replica checks itself ([`ReplicaHooks::check_replica`])
-//! and publishes its status, and the [`Coordinator`], on the calling
-//! thread, decides whether the run stops and whether the replicas hand it
-//! their `(cursor, snapshot)` states. Every
-//! [`ParallelConfig::exchange_every`] temperatures each strictly worse,
-//! unfinished replica adopts the cheapest replica's layout ("parallel
-//! moves, serial exchange"). A boundary costs two barrier waits, and a
-//! third when states or a layout change hands.
+//! each with its own RNG stream ([`replica_seed`]). Every temperature is a
+//! fork-join: replica 0 runs [`Annealer::step`] and then
+//! [`ReplicaHooks::check_replica`] on the calling thread while replicas
+//! `1..K` do the same on scoped threads, so `K = 1` spawns nothing and is
+//! the sequential [`Annealer`] stepped one temperature at a time. Between
+//! two temperatures the calling thread alone does the boundary's work, in
+//! replica order: it merges the replicas' journals, lets
+//! [`ReplicaHooks::plan_boundary`] decide whether the run stops and
+//! whether the replicas hand over their `(cursor, snapshot)` states, and
+//! every [`EXCHANGE_EVERY`] temperatures has each strictly worse,
+//! unfinished replica adopt the cheapest replica's layout as the next
+//! temperature starts ("parallel moves, serial exchange").
 //!
-//! The run is **deterministic in `(seed, K)`**: every decision reads only
-//! what the replicas published before a barrier, so thread scheduling is
-//! unobservable. Problems never cross threads — each replica is built
-//! inside its own thread — so only the plain-data snapshot must be
-//! [`Send`].
+//! The run is **deterministic in `(seed, K)`**: every decision is taken
+//! after a join, from what the replicas left behind, so thread scheduling
+//! is unobservable.
 
 use std::convert::Infallible;
-use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
-use rowfpga_obs::{Event, EventMeta, MetricsRegistry, Obs, PhaseProfiler, ReplaySink};
+use rowfpga_obs::{Event, Obs, ReplaySink};
 
 use crate::{AnnealConfig, AnnealCursor, AnnealOutcome, AnnealProblem, Annealer};
 
 /// An annealing problem that can participate in multi-replica exchange:
 /// its complete layout state can be exported as plain data and adopted by
 /// another replica of the same problem.
-pub trait ReplicaProblem: AnnealProblem {
-    /// Plain-data export of the layout state (crosses threads).
-    type Snapshot: Send;
+pub trait ReplicaProblem: AnnealProblem + Send {
+    /// Plain-data export of the layout state (read by adopting replicas on
+    /// their own threads).
+    type Snapshot: Sync;
 
     /// Exports the current layout state.
     fn snapshot(&self) -> Self::Snapshot;
@@ -43,18 +41,8 @@ pub trait ReplicaProblem: AnnealProblem {
     fn adopt(&mut self, snapshot: &Self::Snapshot) -> bool;
 }
 
-/// Configuration of the exchange cadence.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Temperatures each replica runs between exchanges (minimum 1).
-    pub exchange_every: usize,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig { exchange_every: 4 }
-    }
-}
+/// Temperatures the replicas run between exchanges.
+pub const EXCHANGE_EVERY: usize = 4;
 
 /// The RNG seed of replica `r` for base seed `base`: replica 0 keeps the
 /// base seed (so `K = 1` reproduces the sequential run bit-for-bit), and
@@ -95,12 +83,12 @@ pub struct ParallelOutcome<S> {
 /// unless the winner is replica 0.
 pub type ReplicaRun<P> = (P, ParallelOutcome<Option<<P as ReplicaProblem>::Snapshot>>);
 
-/// How each replica starts and checks itself; shared with every replica
-/// thread, and called on the replica's own thread.
+/// How each replica starts and checks itself, on its own thread, and what
+/// the calling thread does at each temperature boundary.
 pub trait ReplicaHooks<P: ReplicaProblem>: Sync {
     /// An error that ends the run; the first one, in replica order, wins.
     type Error: Send;
-    /// What a replica's check tells the coordinator.
+    /// What a replica's check reports to [`ReplicaHooks::plan_boundary`].
     type Report: Copy + Send;
 
     /// Builds replica `replica`, journaling to `obs`: its problem and its
@@ -114,9 +102,23 @@ pub trait ReplicaHooks<P: ReplicaProblem>: Sync {
         problem: &mut P,
         obs: &Obs,
     ) -> Result<Self::Report, Self::Error>;
+
+    /// Decides at boundary `temp`, given every replica's status. The run
+    /// also ends once every replica's schedule has terminated; by default
+    /// nothing else stops it.
+    fn plan_boundary(
+        &mut self,
+        _temp: usize,
+        _replicas: &[ReplicaStatus<Self::Report>],
+    ) -> Verdict {
+        Verdict::default()
+    }
+
+    /// Receives every replica's state, by replica, when the verdict shared.
+    fn receive_states(&mut self, _temp: usize, _states: Vec<(AnnealCursor, P::Snapshot)>) {}
 }
 
-/// One replica as the coordinator sees it at a temperature boundary.
+/// One replica as [`ReplicaHooks::plan_boundary`] sees it.
 #[derive(Clone, Copy, Debug)]
 pub struct ReplicaStatus<R> {
     /// The replica's current cost.
@@ -128,287 +130,125 @@ pub struct ReplicaStatus<R> {
     pub report: Option<R>,
 }
 
-/// The coordinator's decision at a temperature boundary.
+impl<R> ReplicaStatus<R> {
+    /// Whether the replica adopts a layout of cost `winner_cost` offered at
+    /// an exchange: only when it is unfinished and strictly worse, which
+    /// the winner itself never is.
+    fn adopts(&self, winner_cost: f64) -> bool {
+        !self.finished && self.cost.total_cmp(&winner_cost).is_gt()
+    }
+}
+
+/// The decision at a temperature boundary.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Verdict {
     /// End the run after this boundary.
     pub stop: bool,
-    /// Every replica hands the coordinator its `(cursor, snapshot)` state.
+    /// Every replica hands [`ReplicaHooks::receive_states`] its
+    /// `(cursor, snapshot)` state.
     pub share: bool,
 }
 
-/// The calling thread's side of a replica run; `()` runs every schedule to
-/// its end.
-pub trait Coordinator<S, R> {
-    /// Decides at boundary `temp`, given every replica's status. The run
-    /// also ends once every replica's schedule has terminated.
-    fn plan_boundary(&mut self, temp: usize, replicas: &[ReplicaStatus<R>]) -> Verdict;
-
-    /// Receives every replica's state, by replica, when the verdict shared.
-    fn receive_states(&mut self, temp: usize, states: Vec<(AnnealCursor, S)>);
+/// One replica between temperatures.
+struct Replica<P, R> {
+    problem: P,
+    annealer: Annealer,
+    /// Its journal: a buffered session of its own when the run records,
+    /// else the caller's.
+    obs: Obs,
+    buffer: Option<ReplaySink>,
+    /// Its check's report on the temperature it ran last, if it ran one.
+    report: Option<R>,
+    adoptions: usize,
 }
 
-impl<S, R> Coordinator<S, R> for () {
-    fn plan_boundary(&mut self, _: usize, _: &[ReplicaStatus<R>]) -> Verdict {
-        Verdict::default()
-    }
-
-    fn receive_states(&mut self, _: usize, _: Vec<(AnnealCursor, S)>) {}
-}
-
-/// What every replica does after a boundary's decision.
-#[derive(Clone, Copy, Default)]
-struct Plan {
-    verdict: Verdict,
-    /// The boundary is an exchange round (journaled even if no one adopts).
-    exchange: bool,
-    /// The cheapest replica (ties break to the lowest index) and its cost.
-    winner: usize,
-    winner_cost: f64,
-    /// How many replicas adopt the winner's layout.
-    adopters: usize,
-}
-
-impl Plan {
-    /// Whether replica `r`, published as `s`, adopts the winner's layout.
-    fn adopts<R>(&self, r: usize, s: &ReplicaStatus<R>) -> bool {
-        self.exchange
-            && !self.verdict.stop
-            && r != self.winner
-            && !s.finished
-            && s.cost.total_cmp(&self.winner_cost).is_gt()
-    }
-
-    /// Whether replica `r` offers its layout: to the adopters, or as the
-    /// run's final winner when that is not replica 0.
-    fn offers(&self, r: usize) -> bool {
-        r == self.winner && (self.adopters > 0 || (self.verdict.stop && r != 0))
-    }
-
-    /// Whether states or a layout change hands after the decision.
-    fn hands_over(&self) -> bool {
-        self.verdict.share || self.offers(self.winner)
-    }
-}
-
-/// One replica's journal events, as its own session buffered them.
-type Batch = Vec<(Event, EventMeta)>;
-
-/// A replica's place on the board; only that replica writes it.
-struct Slot<S, R> {
-    status: ReplicaStatus<R>,
-    /// Journal events since the last boundary (at the end: its tail).
-    batch: Batch,
-    state: Option<(AnnealCursor, S)>,
-    /// Its session's metrics and phase totals, left at the end.
-    session: Option<(MetricsRegistry, PhaseProfiler)>,
-}
-
-/// What the replicas share at a boundary, behind one lock.
-struct Board<S, R, E> {
-    slots: Vec<Slot<S, R>>,
-    error: Option<(usize, E)>,
-    plan: Plan,
-    exchanges: usize,
-}
-
-/// A poisoned lock means a replica thread panicked; that panic is re-raised
-/// at join, so the state behind the lock is still safe to read here.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Everything the replicas of one run share.
-struct Team<'h, P: ReplicaProblem, H: ReplicaHooks<P>> {
-    hooks: &'h H,
-    barrier: Barrier,
-    board: Mutex<Board<P::Snapshot, H::Report, H::Error>>,
-    /// The winner's layout, for the adopters or, at the end, the caller.
-    offer: Mutex<Option<P::Snapshot>>,
-    /// With `K > 1` and a recording caller, replicas journal into buffered
-    /// sessions that the coordinator merges at every boundary.
-    record: bool,
-    first_temp: usize,
-    exchange_every: usize,
-}
-
-impl<P: ReplicaProblem, H: ReplicaHooks<P>> Team<'_, P, H> {
-    /// Replica `replica`'s journal: a buffered session of its own (replica
-    /// id `replica + 1`) when the run records, else `fallback`.
-    fn replica_obs(&self, replica: usize, fallback: Obs) -> (Obs, Option<ReplaySink>) {
-        if !self.record {
-            return (fallback, None);
-        }
-        let buffer = ReplaySink::new();
-        let id = u32::try_from(replica + 1).unwrap_or(u32::MAX);
-        (Obs::for_replica(id, Box::new(buffer.clone())), Some(buffer))
-    }
-
-    /// Updates replica `replica`'s slot.
-    fn slot(&self, replica: usize, f: impl FnOnce(&mut Slot<P::Snapshot, H::Report>)) {
-        if let Some(slot) = lock(&self.board).slots.get_mut(replica) {
-            f(slot);
+impl<P: ReplicaProblem, R: Copy> Replica<P, R> {
+    fn status(&self) -> ReplicaStatus<R> {
+        ReplicaStatus {
+            cost: self.problem.cost(),
+            finished: self.annealer.finished(),
+            report: self.report,
         }
     }
 
-    fn fail(&self, replica: usize, error: H::Error) {
-        let mut board = lock(&self.board);
-        if board.error.as_ref().is_none_or(|(r, _)| replica < *r) {
-            board.error = Some((replica, error));
-        }
-    }
-
-    /// Boundary `temp` up to the decision: wait until every replica has
-    /// published, let the coordinator decide, and read its plan.
-    fn meet<C: Coordinator<P::Snapshot, H::Report>>(
-        &self,
+    /// Runs the temperature after boundary `temp`, first adopting `offer`
+    /// (the winner's layout and its cost) if the replica takes it.
+    fn step<H>(
+        &mut self,
+        hooks: &H,
         temp: usize,
-        coordinator: &mut Option<(&mut C, &Obs)>,
-    ) -> Plan {
-        self.barrier.wait();
-        if let Some((coord, caller)) = coordinator {
-            self.decide(&mut **coord, caller, temp);
+        offer: Option<(&P::Snapshot, f64)>,
+    ) -> Result<(), H::Error>
+    where
+        H: ReplicaHooks<P, Report = R>,
+    {
+        if let Some((layout, _)) = offer.filter(|&(_, cost)| self.status().adopts(cost)) {
+            // A layout that does not rebuild leaves the replica as it was;
+            // only real adoptions count.
+            if self.problem.adopt(layout) {
+                self.adoptions += 1;
+            } else {
+                self.obs.inc("exchange.adopt_failed");
+            }
         }
-        self.barrier.wait();
-        lock(&self.board).plan
+        self.report = None;
+        if self.annealer.step(&mut self.problem, &self.obs).is_some() {
+            self.report = Some(hooks.check_replica(temp + 1, &mut self.problem, &self.obs)?);
+        }
+        Ok(())
     }
 
-    /// Replica `replica`'s loop; replica 0 also carries the coordinator and
-    /// the caller's journal.
-    fn anneal<C: Coordinator<P::Snapshot, H::Report>>(
-        &self,
-        replica: usize,
-        (mut problem, mut annealer): (P, Annealer),
-        obs: &Obs,
-        buffer: Option<&ReplaySink>,
-        mut coordinator: Option<(&mut C, &Obs)>,
-    ) -> (P, ReplicaReport) {
-        let (mut temp, mut report, mut adoptions) = (self.first_temp, None, 0);
-        loop {
-            let status = ReplicaStatus {
-                cost: problem.cost(),
-                finished: annealer.finished(),
-                report,
-            };
-            let batch = buffer.map(ReplaySink::drain).unwrap_or_default();
-            self.slot(replica, |s| (s.status, s.batch) = (status, batch));
-            let plan = self.meet(temp, &mut coordinator);
-            if plan.hands_over() {
-                if plan.verdict.share {
-                    let state = (annealer.cursor(), problem.snapshot());
-                    self.slot(replica, |s| s.state = Some(state));
-                }
-                if plan.offers(replica) {
-                    *lock(&self.offer) = Some(problem.snapshot());
-                }
-                self.barrier.wait();
-                if let (Some((coord, _)), true) = (coordinator.as_mut(), plan.verdict.share) {
-                    let mut board = lock(&self.board);
-                    let states = board.slots.iter_mut().filter_map(|s| s.state.take());
-                    let states = states.collect();
-                    drop(board);
-                    coord.receive_states(temp, states);
-                }
-                if plan.adopts(replica, &status) {
-                    // A snapshot that does not rebuild leaves the replica as
-                    // it was; only real adoptions count.
-                    match lock(&self.offer).as_ref().map(|s| problem.adopt(s)) {
-                        Some(true) => adoptions += 1,
-                        _ => obs.inc("exchange.adopt_failed"),
-                    }
-                }
-            }
-            if plan.verdict.stop {
-                break;
-            }
-            let stepped = annealer.step(&mut problem, obs).is_some();
-            temp += 1;
-            report = None;
-            if stepped {
-                match self.hooks.check_replica(temp, &mut problem, obs) {
-                    Ok(r) => report = Some(r),
-                    Err(e) => self.fail(replica, e),
-                }
-            }
+    fn summary(&self) -> ReplicaReport {
+        ReplicaReport {
+            outcome: self.annealer.outcome(&self.problem),
+            adoptions: self.adoptions,
         }
-        if let Some(buffer) = buffer {
-            let session = obs.with_session(|s| {
-                let metrics = std::mem::take(&mut s.metrics);
-                (metrics, std::mem::take(&mut s.profiler))
-            });
-            self.slot(replica, |s| {
-                (s.batch, s.session) = (buffer.drain(), session)
-            });
-        }
-        let outcome = annealer.outcome(&problem);
-        (problem, ReplicaReport { outcome, adoptions })
-    }
-
-    /// The coordinator's turn at boundary `temp`: merge the replicas'
-    /// journal batches, then plan the rest of the boundary. An error raised
-    /// by any replica stops the run here, with nothing handed over.
-    fn decide<C: Coordinator<P::Snapshot, H::Report>>(
-        &self,
-        coordinator: &mut C,
-        caller: &Obs,
-        temp: usize,
-    ) {
-        let (status, batches, failed) = {
-            let mut board = lock(&self.board);
-            let status: Vec<_> = board.slots.iter().map(|s| s.status).collect();
-            let batches: Vec<Batch> = (board.slots.iter_mut())
-                .map(|s| std::mem::take(&mut s.batch))
-                .collect();
-            (status, batches, board.error.is_some())
-        };
-        merge(caller, &batches);
-        let mut plan = Plan::default();
-        plan.verdict.stop = true;
-        if !failed {
-            let verdict = coordinator.plan_boundary(temp, &status);
-            for (r, s) in status.iter().enumerate() {
-                if r == 0 || s.cost.total_cmp(&plan.winner_cost).is_lt() {
-                    (plan.winner, plan.winner_cost) = (r, s.cost);
-                }
-            }
-            let all_finished = status.iter().all(|s| s.finished);
-            plan.verdict = Verdict {
-                stop: verdict.stop || all_finished,
-                share: verdict.share,
-            };
-            plan.exchange = status.len() > 1
-                && temp > 0
-                && (temp.is_multiple_of(self.exchange_every) || all_finished);
-            let adopters = status.iter().enumerate();
-            plan.adopters = adopters.filter(|&(r, s)| plan.adopts(r, s)).count();
-            if plan.exchange {
-                caller.emit(Event::Exchange {
-                    round: (temp - 1) / self.exchange_every,
-                    winner: plan.winner,
-                    winner_cost: plan.winner_cost,
-                    adopted: plan.adopters,
-                });
-            }
-        }
-        let mut board = lock(&self.board);
-        board.plan = plan;
-        board.exchanges += usize::from(plan.exchange);
     }
 }
 
-/// Replays replica journal batches into the caller's session, in order:
-/// sequence numbers are re-stamped, span ids and replica ids survive.
-fn merge<'b>(caller: &Obs, batches: impl IntoIterator<Item = &'b Batch>) {
-    caller.with_session(|s| {
-        for (event, meta) in batches.into_iter().flatten() {
-            s.emit_replayed(event, meta);
-        }
-    });
+/// Every replica, in replica order.
+fn everyone<'t, T>(zero: &'t T, others: &'t [T]) -> impl Iterator<Item = &'t T> {
+    std::iter::once(zero).chain(others)
+}
+
+/// Runs `work` on `first` on the calling thread and on each of `rest` on a
+/// scoped thread of its own, and returns the results in order; with no
+/// `rest`, nothing is spawned. A panic in any thread is re-raised here.
+fn fork_join<T: Send, U: Send>(
+    first: T,
+    rest: impl IntoIterator<Item = T>,
+    work: impl Fn(T) -> U + Sync,
+) -> (U, Vec<U>) {
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = (rest.into_iter())
+            .map(|item| scope.spawn(move || work(item)))
+            .collect();
+        let first = work(first);
+        let rest = (handles.into_iter())
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect();
+        (first, rest)
+    })
+}
+
+/// Replays the replicas' buffered journal events into the caller's
+/// session, in replica order: sequence numbers are re-stamped, span ids
+/// and replica ids survive.
+fn merge<'t, P: 't, R: 't>(caller: &Obs, team: impl Iterator<Item = &'t Replica<P, R>>) {
+    for batch in team.filter_map(|r| r.buffer.as_ref().map(ReplaySink::drain)) {
+        caller.with_session(|s| {
+            for (event, meta) in &batch {
+                s.emit_replayed(event, meta);
+            }
+        });
+    }
 }
 
 /// Anneals `replicas` replicas that `hooks` builds, from temperature
 /// boundary `first_temp` (0 for a fresh run), until every schedule has
-/// terminated or `coordinator` stops the run (see the module docs).
+/// terminated or [`ReplicaHooks::plan_boundary`] stops the run (see the
+/// module docs).
 ///
 /// A single replica journals straight into `obs`. With `K > 1` and an
 /// enabled `obs`, replica `r` records into its own buffered session (replica
@@ -422,104 +262,116 @@ fn merge<'b>(caller: &Obs, batches: impl IntoIterator<Item = &'b Batch>) {
 ///
 /// Returns the first error, in replica order, that a replica raised while
 /// starting or checking itself; the run ends at that boundary.
-pub fn anneal_replicas<P, H, C>(
-    hooks: &H,
-    coordinator: &mut C,
+pub fn anneal_replicas<P, H>(
+    hooks: &mut H,
     replicas: usize,
     first_temp: usize,
-    par: &ParallelConfig,
     obs: &Obs,
 ) -> Result<ReplicaRun<P>, H::Error>
 where
     P: ReplicaProblem,
     H: ReplicaHooks<P>,
-    C: Coordinator<P::Snapshot, H::Report>,
 {
-    let replicas = replicas.max(1);
-    let idle = |_| Slot {
-        status: ReplicaStatus {
-            cost: f64::INFINITY,
-            finished: true,
+    let record = replicas > 1 && obs.enabled();
+    let start = |r: usize| -> Result<Replica<P, H::Report>, H::Error> {
+        let (obs, buffer) = if record {
+            let buffer = ReplaySink::new();
+            let id = u32::try_from(r + 1).unwrap_or(u32::MAX);
+            (Obs::for_replica(id, Box::new(buffer.clone())), Some(buffer))
+        } else {
+            (obs.clone(), None)
+        };
+        let (problem, annealer) = hooks.start_replica(r, &obs)?;
+        Ok(Replica {
+            problem,
+            annealer,
+            obs,
+            buffer,
             report: None,
-        },
-        batch: Vec::new(),
-        state: None,
-        session: None,
+            adoptions: 0,
+        })
     };
-    let team = Team {
-        hooks,
-        barrier: Barrier::new(replicas),
-        board: Mutex::new(Board {
-            slots: (0..replicas).map(idle).collect(),
-            error: None,
-            plan: Plan::default(),
-            exchanges: 0,
-        }),
-        offer: Mutex::new(None),
-        record: replicas > 1 && obs.enabled(),
-        first_temp,
-        exchange_every: par.exchange_every.max(1),
-    };
-    let (obs0, buffer0) = team.replica_obs(0, obs.clone());
-    let live = hooks.start_replica(0, &obs0)?;
-    let ((problem, first), others) = std::thread::scope(|scope| {
-        let team = &team;
-        let handles: Vec<_> = (1..replicas)
-            .map(|r| {
-                scope.spawn(move || {
-                    let (obs, buffer) = team.replica_obs(r, Obs::disabled());
-                    match team.hooks.start_replica(r, &obs) {
-                        Ok(live) => Some(team.anneal::<C>(r, live, &obs, buffer.as_ref(), None).1),
-                        Err(e) => {
-                            // Sit out the first boundary, where the error
-                            // stops the run.
-                            team.fail(r, e);
-                            if team.meet::<C>(first_temp, &mut None).hands_over() {
-                                team.barrier.wait();
-                            }
-                            None
-                        }
-                    }
-                })
-            })
-            .collect();
-        let zero = team.anneal(0, live, &obs0, buffer0.as_ref(), Some((coordinator, obs)));
-        let others: Vec<Option<ReplicaReport>> = handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect();
-        (zero, others)
-    });
+    let (zero, others) = fork_join(0, 1..replicas, start);
+    let mut zero = zero?;
+    let mut others = others.into_iter().collect::<Result<Vec<_>, _>>()?;
 
-    let board = team
-        .board
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    if team.record {
-        merge(obs, board.slots.iter().map(|s| &s.batch));
-        obs.with_session(|s| {
-            for (metrics, profiler) in board.slots.iter().filter_map(|s| s.session.as_ref()) {
-                s.metrics.absorb(metrics);
-                s.profiler.absorb(profiler);
-            }
+    let (mut temp, mut exchanges) = (first_temp, 0);
+    let ended = loop {
+        merge(obs, everyone(&zero, &others));
+        let status: Vec<_> = everyone(&zero, &others).map(Replica::status).collect();
+        let verdict = hooks.plan_boundary(temp, &status);
+        // The cheapest replica wins; ties break to the lowest index.
+        let (winner, winner_cost) = (status.iter().enumerate())
+            .min_by(|(_, a), (_, b)| a.cost.total_cmp(&b.cost))
+            .map_or((0, f64::INFINITY), |(r, s)| (r, s.cost));
+        let all_finished = status.iter().all(|s| s.finished);
+        let stop = verdict.stop || all_finished;
+        let exchange =
+            status.len() > 1 && temp > 0 && (temp.is_multiple_of(EXCHANGE_EVERY) || all_finished);
+        let adopters = if exchange && !stop {
+            status.iter().filter(|s| s.adopts(winner_cost)).count()
+        } else {
+            0
+        };
+        if exchange {
+            exchanges += 1;
+            obs.emit(Event::Exchange {
+                round: (temp - 1) / EXCHANGE_EVERY,
+                winner,
+                winner_cost,
+                adopted: adopters,
+            });
+        }
+        if verdict.share {
+            let states = everyone(&zero, &others)
+                .map(|r| (r.annealer.cursor(), r.problem.snapshot()))
+                .collect();
+            hooks.receive_states(temp, states);
+        }
+        if stop {
+            break Ok((winner, winner_cost));
+        }
+        let offer = (everyone(&zero, &others).nth(winner))
+            .filter(|_| adopters > 0)
+            .map(|r| r.problem.snapshot());
+        let offer = offer.as_ref().map(|layout| (layout, winner_cost));
+        let (first, rest) = fork_join(&mut zero, others.iter_mut(), |replica| {
+            replica.step(&*hooks, temp, offer)
         });
+        temp += 1;
+        if let Some(error) = std::iter::once(first).chain(rest).find_map(Result::err) {
+            break Err(error);
+        }
+    };
+
+    merge(obs, everyone(&zero, &others));
+    if record {
+        for replica in everyone(&zero, &others) {
+            let session = replica.obs.with_session(|s| {
+                (
+                    std::mem::take(&mut s.metrics),
+                    std::mem::take(&mut s.profiler),
+                )
+            });
+            if let Some((metrics, profiler)) = session {
+                obs.with_session(|s| {
+                    s.metrics.absorb(&metrics);
+                    s.profiler.absorb(&profiler);
+                });
+            }
+        }
     }
-    if let Some((_, error)) = board.error {
-        return Err(error);
-    }
-    let winner = board.plan.winner;
+    let (winner, best_cost) = ended?;
     let outcome = ParallelOutcome {
         best_replica: winner,
-        best: (team.offer.into_inner())
-            .unwrap_or_else(PoisonError::into_inner)
-            .filter(|_| winner != 0),
-        best_cost: board.plan.winner_cost,
-        exchanges: board.exchanges,
-        replicas: std::iter::once(first)
-            .chain(others.into_iter().flatten())
-            .collect(),
+        best: (everyone(&zero, &others).nth(winner))
+            .filter(|_| winner != 0)
+            .map(|r| r.problem.snapshot()),
+        best_cost,
+        exchanges,
+        replicas: everyone(&zero, &others).map(Replica::summary).collect(),
     };
-    Ok((problem, outcome))
+    Ok((zero.problem, outcome))
 }
 
 /// Builds every replica fresh from a factory; replicas check nothing.
@@ -548,10 +400,10 @@ impl<P: ReplicaProblem, F: Fn(usize) -> P + Sync> ReplicaHooks<P> for Fresh<'_, 
 }
 
 /// Runs `replicas` annealing replicas of the problem `factory` builds,
-/// exchanging best layouts every [`ParallelConfig::exchange_every`]
-/// temperatures. `factory(r)` is called once, inside replica `r`'s thread,
-/// and must build replica `r`'s starting state; replica `r` anneals with
-/// seed [`replica_seed`]`(config.seed, r)`.
+/// exchanging best layouts every [`EXCHANGE_EVERY`] temperatures.
+/// `factory(r)` is called once, on replica `r`'s thread, and must build
+/// replica `r`'s starting state; replica `r` anneals with seed
+/// [`replica_seed`]`(config.seed, r)`.
 ///
 /// Deterministic in `(config, replicas)`; `replicas == 1` runs on the
 /// calling thread and is bit-identical to the sequential [`Annealer`].
@@ -559,14 +411,13 @@ pub fn anneal_parallel<P, F>(
     factory: F,
     replicas: usize,
     config: &AnnealConfig,
-    par: &ParallelConfig,
 ) -> ParallelOutcome<P::Snapshot>
 where
     P: ReplicaProblem,
     F: Fn(usize) -> P + Sync,
 {
-    let hooks = Fresh { factory, config };
-    let Ok((problem, out)) = anneal_replicas(&hooks, &mut (), replicas, 0, par, &Obs::disabled());
+    let mut hooks = Fresh { factory, config };
+    let Ok((problem, out)) = anneal_replicas(&mut hooks, replicas, 0, &Obs::disabled());
     ParallelOutcome {
         best: out.best.unwrap_or_else(|| problem.snapshot()),
         best_replica: out.best_replica,
@@ -581,6 +432,8 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::Rng;
+    use rowfpga_obs::EventMeta;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     use crate::anneal;
 
@@ -591,6 +444,8 @@ mod tests {
         target: Vec<i64>,
         /// Whether `adopt` takes the offered layout.
         accepts: bool,
+        /// The replica that built it.
+        replica: usize,
     }
 
     impl Toy {
@@ -599,6 +454,7 @@ mod tests {
                 x: vec![0; n],
                 target: (0..n as i64).collect(),
                 accepts: true,
+                replica: 0,
             }
         }
         fn cost_of(&self) -> f64 {
@@ -656,18 +512,17 @@ mod tests {
     }
 
     fn run(seed: u64, k: usize) -> ParallelOutcome<Vec<i64>> {
-        anneal_parallel(|_| Toy::new(8), k, &cfg(seed), &ParallelConfig::default())
+        anneal_parallel(|_| Toy::new(8), k, &cfg(seed))
     }
 
     /// A fresh `k`-replica run of 8-element toys, journaled to `obs`.
     fn observed(seed: u64, k: usize, obs: &Obs) -> ParallelOutcome<Vec<i64>> {
         let config = cfg(seed);
-        let hooks = Fresh {
+        let mut hooks = Fresh {
             factory: |_| Toy::new(8),
             config: &config,
         };
-        let par = ParallelConfig::default();
-        let Ok((problem, out)) = anneal_replicas(&hooks, &mut (), k, 0, &par, obs);
+        let Ok((problem, out)) = anneal_replicas(&mut hooks, k, 0, obs);
         ParallelOutcome {
             best: out.best.unwrap_or_else(|| problem.snapshot()),
             best_replica: out.best_replica,
@@ -831,15 +686,14 @@ mod tests {
         let ring = rowfpga_obs::RingSink::new(1 << 16);
         let obs = Obs::with_sink(Box::new(ring.clone()));
         let config = cfg(9);
-        let hooks = Fresh {
+        let mut hooks = Fresh {
             factory: |_| Toy {
                 accepts: false,
                 ..Toy::new(8)
             },
             config: &config,
         };
-        let par = ParallelConfig::default();
-        let Ok((_, out)) = anneal_replicas(&hooks, &mut (), 3, 0, &par, &obs);
+        let Ok((_, out)) = anneal_replicas(&mut hooks, 3, 0, &obs);
         assert!(out.replicas.iter().all(|r| r.adoptions == 0));
         let planned: u64 = ring
             .snapshot()
@@ -878,11 +732,62 @@ mod tests {
 
     #[test]
     fn a_replica_that_fails_to_start_ends_the_run_with_its_error() {
-        let par = ParallelConfig::default();
         for (k, bad) in [(1, 0), (2, 0), (2, 1), (3, 2)] {
-            let run = anneal_replicas(&FailingStart { bad }, &mut (), k, 0, &par, &Obs::disabled());
+            let run = anneal_replicas(&mut FailingStart { bad }, k, 0, &Obs::disabled());
             assert_eq!(run.err(), Some(bad), "K={k}, replica {bad} fails");
         }
+    }
+
+    /// Replicas 2 and 1 fail their check at temperature `FAIL_AT`; every
+    /// check records the highest temperature any replica ran.
+    struct FailingCheck {
+        highest: AtomicUsize,
+    }
+
+    const FAIL_AT: usize = 3;
+
+    impl ReplicaHooks<Toy> for FailingCheck {
+        type Error = usize;
+        type Report = ();
+
+        fn start_replica(&self, replica: usize, obs: &Obs) -> Result<(Toy, Annealer), usize> {
+            let mut toy = Toy {
+                replica,
+                ..Toy::new(8)
+            };
+            let config = AnnealConfig {
+                seed: replica_seed(3, replica),
+                ..cfg(3)
+            };
+            let annealer = Annealer::start(&mut toy, &config, obs);
+            Ok((toy, annealer))
+        }
+
+        fn check_replica(&self, temp: usize, toy: &mut Toy, _: &Obs) -> Result<(), usize> {
+            self.highest.fetch_max(temp, Ordering::SeqCst);
+            match toy.replica {
+                2 | 1 if temp == FAIL_AT => Err(toy.replica),
+                _ => Ok(()),
+            }
+        }
+    }
+
+    #[test]
+    fn replicas_failing_mid_run_end_it_with_the_first_error_in_replica_order() {
+        let mut hooks = FailingCheck {
+            highest: AtomicUsize::new(0),
+        };
+        let run = anneal_replicas(&mut hooks, 3, 0, &Obs::disabled());
+        assert_eq!(
+            run.err(),
+            Some(1),
+            "replica 1's error wins over replica 2's"
+        );
+        assert_eq!(
+            hooks.highest.into_inner(),
+            FAIL_AT,
+            "no replica runs a temperature after the failing one"
+        );
     }
 
     #[test]
@@ -895,7 +800,6 @@ mod tests {
                 seed: 3,
                 ..AnnealConfig::default()
             },
-            &ParallelConfig::default(),
         );
         if out
             .replicas

@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use rowfpga_anneal::{
-    anneal_parallel, AnnealConfig, AnnealProblem, ParallelConfig, ParallelOutcome, ReplicaProblem,
+    anneal_parallel, AnnealConfig, AnnealProblem, ParallelOutcome, ReplicaProblem,
 };
 
 /// Minimize squared distance from a target vector; the vector itself is
@@ -68,27 +68,26 @@ impl ReplicaProblem for Toy {
     }
 }
 
-fn run(seed: u64, k: usize, exchange_every: usize) -> ParallelOutcome<Vec<i64>> {
+fn run(seed: u64, k: usize) -> ParallelOutcome<Vec<i64>> {
     let cfg = AnnealConfig {
         seed,
         max_temps: 15,
         ..AnnealConfig::fast()
     };
-    anneal_parallel(|_| Toy::new(6), k, &cfg, &ParallelConfig { exchange_every })
+    anneal_parallel(|_| Toy::new(6), k, &cfg)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// Two runs with the same (seed, K, cadence) are indistinguishable.
+    /// Two runs with the same (seed, K) are indistinguishable.
     #[test]
     fn parallel_outcome_is_a_pure_function_of_seed_and_replicas(
         seed in 0u64..10_000,
         k in 1usize..4,
-        exchange_every in 1usize..6,
     ) {
-        let a = run(seed, k, exchange_every);
-        let b = run(seed, k, exchange_every);
+        let a = run(seed, k);
+        let b = run(seed, k);
         prop_assert_eq!(a.best_replica, b.best_replica);
         prop_assert_eq!(a.best, b.best);
         prop_assert!(a.best_cost == b.best_cost);

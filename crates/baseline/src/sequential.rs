@@ -276,14 +276,13 @@ mod tests {
     #[test]
     fn observed_sequential_run_journals_the_batch_route() {
         use rowfpga_obs::{Event, Recorder};
-        use std::cell::RefCell;
-        use std::rc::Rc;
+        use std::sync::{Arc, Mutex};
 
         #[derive(Default)]
-        struct Capture(Rc<RefCell<Vec<&'static str>>>);
+        struct Capture(Arc<Mutex<Vec<&'static str>>>);
         impl Recorder for Capture {
             fn record(&mut self, event: &Event) {
-                self.0.borrow_mut().push(match event {
+                self.0.lock().unwrap().push(match event {
                     Event::JournalHeader { .. } => "journal_header",
                     Event::RunStart { .. } => "run_start",
                     Event::Temperature(_) => "temperature",
@@ -296,12 +295,12 @@ mod tests {
         }
 
         let (arch, nl) = fixture();
-        let kinds = Rc::new(RefCell::new(Vec::new()));
+        let kinds = Arc::new(Mutex::new(Vec::new()));
         let obs = Obs::with_sink(Box::new(Capture(kinds.clone())));
         let observed = SequentialPlaceRoute::new(SeqPrConfig::fast())
             .run_observed(&arch, &nl, "fixture", &obs)
             .unwrap();
-        let kinds = kinds.borrow();
+        let kinds = kinds.lock().unwrap();
         assert_eq!(kinds.first(), Some(&"journal_header"));
         assert_eq!(kinds.get(1), Some(&"run_start"));
         assert_eq!(kinds.last(), Some(&"run_end"));

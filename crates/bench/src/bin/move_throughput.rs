@@ -14,6 +14,8 @@
 //! `--check PATH` reads a previously committed JSON at PATH *before*
 //! overwriting it and exits non-zero if the fresh run's move throughput
 //! regressed by more than 20 % against it (the `scripts/check.sh` gate).
+//! A PATH that does not read, parse, or hold `current.moves_per_sec`
+//! exits 2 before anything runs, so the gate can never pass unchecked.
 
 use std::time::Instant;
 
@@ -65,6 +67,15 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
+/// The committed throughput `--check PATH` compares against.
+fn committed_throughput(path: &str) -> Result<f64, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+    let json = parse(&text).map_err(|e| e.to_string())?;
+    (json.get("current").and_then(|c| c.get("moves_per_sec")))
+        .and_then(Json::as_f64)
+        .ok_or_else(|| "no `current.moves_per_sec`".into())
+}
+
 /// The mid-size synthetic design: larger than the MCNC presets
 /// (156–227 cells), smaller than the 529-cell Figure 7 design.
 fn midsize_config() -> GenerateConfig {
@@ -90,10 +101,11 @@ fn main() {
     let out = arg_value(&args, "--out");
     let check = arg_value(&args, "--check");
 
-    let committed_moves_per_sec = check.as_deref().and_then(|path| {
-        let text = std::fs::read_to_string(path).ok()?;
-        let json = parse(&text).ok()?;
-        json.get("current")?.get("moves_per_sec")?.as_f64()
+    let committed_moves_per_sec = check.map(|path| {
+        committed_throughput(&path).unwrap_or_else(|e| {
+            eprintln!("move_throughput: --check {path}: {e}");
+            std::process::exit(2);
+        })
     });
 
     let nl = generate(&midsize_config());

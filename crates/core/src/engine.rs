@@ -8,8 +8,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rowfpga_anneal::{
-    anneal_replicas, replica_seed, AnnealConfig, AnnealCursor, Annealer, Coordinator,
-    ParallelConfig, ReplicaHooks, ReplicaStatus, Verdict,
+    anneal_replicas, replica_seed, AnnealConfig, AnnealCursor, Annealer, ReplicaHooks,
+    ReplicaStatus, Verdict,
 };
 use rowfpga_arch::Architecture;
 use rowfpga_netlist::{CombLoopError, Netlist};
@@ -474,15 +474,12 @@ impl SimultaneousPlaceRoute {
             None => None,
         };
 
-        let hooks = LayoutReplicas {
+        let mut hooks = LayoutReplicas {
             arch,
             netlist,
             config,
             anneal: &anneal_cfg,
             resumed: resumed.as_ref(),
-        };
-        let mut boundaries = Boundaries {
-            config,
             stop,
             obs,
             start,
@@ -499,21 +496,9 @@ impl SimultaneousPlaceRoute {
             checkpoint_due: false,
         };
         obs.span_start("anneal");
-        let (live, outcome) = anneal_replicas(
-            &hooks,
-            &mut boundaries,
-            replicas,
-            resumed.as_ref().map_or(0, |ck| ck.temp),
-            &ParallelConfig::default(),
-            obs,
-        )?;
+        let first_temp = resumed.as_ref().map_or(0, |ck| ck.temp);
+        let (live, outcome) = anneal_replicas(&mut hooks, replicas, first_temp, obs)?;
         obs.span_end("anneal");
-        let Boundaries {
-            best,
-            repairs: repairs_total,
-            reason: mut stop_reason,
-            ..
-        } = boundaries;
         let (winner, reports) = (outcome.best_replica, outcome.replicas);
         let mut problem = match outcome.best {
             None => live,
@@ -523,6 +508,12 @@ impl SimultaneousPlaceRoute {
             }
         }
         .with_obs(obs.clone());
+        let LayoutReplicas {
+            best,
+            repairs: repairs_total,
+            reason: mut stop_reason,
+            ..
+        } = hooks;
 
         // Zero-temperature cleanup: when the schedule froze with a few nets
         // still unrouted, a burst of greedy (improving-only) moves usually
@@ -743,13 +734,28 @@ struct Audited {
 }
 
 /// How each replica of a layout run starts, fresh or from its checkpointed
-/// state, and audits itself at a temperature boundary.
+/// state, and audits itself after each temperature; and, on the calling
+/// thread at each temperature boundary, the run's stop decisions, the best
+/// layout across replicas, and checkpoints.
 struct LayoutReplicas<'r, 'a> {
     arch: &'a Architecture,
     netlist: &'a Netlist,
     config: &'r SimPrConfig,
     anneal: &'r AnnealConfig,
     resumed: Option<&'r Checkpoint>,
+    stop: &'r StopFlag,
+    obs: &'r Obs,
+    start: Instant,
+    /// Checkpoint path and (arch, netlist) fingerprints, when checkpointing.
+    checkpoint: Option<(&'r Path, (u64, u64))>,
+    track_best: bool,
+    best: Option<BestLayout>,
+    repairs: usize,
+    reason: StopReason,
+    /// This boundary's pending work: the replica holding a new best
+    /// layout, and whether a checkpoint is due.
+    new_best: Option<(usize, QualityKey)>,
+    checkpoint_due: bool,
 }
 
 impl<'a> LayoutReplicas<'_, 'a> {
@@ -840,28 +846,7 @@ impl<'a> ReplicaHooks<LayoutProblem<'a>> for LayoutReplicas<'_, 'a> {
             repaired,
         })
     }
-}
 
-/// The calling thread's side of a layout run: stop decisions, the best
-/// layout across replicas, and checkpoints.
-struct Boundaries<'r> {
-    config: &'r SimPrConfig,
-    stop: &'r StopFlag,
-    obs: &'r Obs,
-    start: Instant,
-    /// Checkpoint path and (arch, netlist) fingerprints, when checkpointing.
-    checkpoint: Option<(&'r Path, (u64, u64))>,
-    track_best: bool,
-    best: Option<BestLayout>,
-    repairs: usize,
-    reason: StopReason,
-    /// This boundary's pending work: the replica holding a new best
-    /// layout, and whether a checkpoint is due.
-    new_best: Option<(usize, QualityKey)>,
-    checkpoint_due: bool,
-}
-
-impl Coordinator<ProblemSnapshot, Audited> for Boundaries<'_> {
     fn plan_boundary(&mut self, temp: usize, replicas: &[ReplicaStatus<Audited>]) -> Verdict {
         let res = &self.config.resilience;
         let stepped = replicas.iter().any(|s| s.report.is_some());

@@ -154,6 +154,56 @@ fn faulted_run_self_repairs_and_converges() {
     );
 }
 
+/// The same plan with two replicas: each replica takes both faults and
+/// audits and repairs itself on its own thread, the merged journal records
+/// all four detections, and the run stays deterministic.
+#[test]
+fn two_replica_faulted_run_self_repairs_on_every_replica() {
+    use rowfpga_obs::{json, Event, EventMeta, Obs, RingSink};
+
+    let (arch, nl) = fixture();
+    let run = || {
+        let ring = RingSink::new(1 << 16);
+        let obs = Obs::with_sink(Box::new(ring.clone()));
+        let mut cfg = SimPrConfig::fast().with_seed(6);
+        cfg.threads = 2;
+        cfg.resilience.audit_every = 1;
+        cfg.resilience.faults = Some(FaultPlan::new(vec![
+            (2, InjectedFault::TimingWorst { delta_ps: 400.0 }),
+            (4, InjectedFault::RouteCounter),
+        ]));
+        let result = SimultaneousPlaceRoute::new(cfg)
+            .run_observed(&arch, &nl, "faulted-k2", &obs)
+            .unwrap();
+        (result, ring.snapshot())
+    };
+    let (a, lines) = run();
+    assert_eq!(a.stop_reason, StopReason::Repaired);
+    assert_eq!(a.repairs, 4, "two repairs on each replica");
+    verify_routing(&a.routing, &arch, &nl, &a.placement).unwrap();
+
+    let mut failed_audits = Vec::new();
+    for line in &lines {
+        let doc = json::parse(line).unwrap();
+        if matches!(Event::from_json(&doc), Some(Event::Audit { ok: false, .. })) {
+            failed_audits.push(EventMeta::from_json(&doc).replica);
+        }
+    }
+    assert_eq!(
+        failed_audits,
+        [1, 2, 1, 2],
+        "both replicas detect both faults, merged in replica order"
+    );
+
+    let (b, _) = run();
+    assert_eq!(a.worst_delay.to_bits(), b.worst_delay.to_bits());
+    assert_eq!(a.total_moves, b.total_moves);
+    assert_eq!(a.routing.occupancy_digest(), b.routing.occupancy_digest());
+    for (id, _) in nl.cells() {
+        assert_eq!(a.placement.site_of(id), b.placement.site_of(id));
+    }
+}
+
 /// A seeded plan is deterministic: two identical faulted runs agree.
 #[test]
 fn seeded_fault_runs_are_deterministic() {

@@ -5,18 +5,19 @@
 //! locking) or *enabled*, in which case it shares one [`ObsSession`]
 //! holding the metrics registry, the phase profiler, and the event sink.
 //!
-//! The engine is single-threaded, so the session lives behind
-//! `Rc<RefCell<…>>`; borrows are confined to individual method calls and
-//! never held across user code (the [`Obs::span`] closure runs with the
-//! session released).
+//! Annealing replicas move between threads, so the session lives behind
+//! `Arc<Mutex<…>>` and its sink is `Send`. The lock is confined to
+//! individual method calls and never held across user code (the
+//! [`Obs::span`] closure runs with the session released), and a lock
+//! poisoned by a panicking thread is still used.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use crate::metrics::MetricsRegistry;
 use crate::profile::PhaseProfiler;
 use crate::record::{Event, EventMeta, NoopRecorder, Recorder, SCHEMA_VERSION};
 use crate::report;
+use crate::sink::lock;
 
 /// The state behind an enabled [`Obs`] handle.
 pub struct ObsSession {
@@ -24,7 +25,7 @@ pub struct ObsSession {
     pub metrics: MetricsRegistry,
     /// Nested span timers.
     pub profiler: PhaseProfiler,
-    sink: Box<dyn Recorder>,
+    sink: Box<dyn Recorder + Send>,
     seq: u64,
     replica: u32,
     emit_spans: bool,
@@ -41,7 +42,7 @@ impl std::fmt::Debug for ObsSession {
 
 impl ObsSession {
     /// Creates a session draining events into `sink`.
-    pub fn new(sink: Box<dyn Recorder>) -> ObsSession {
+    pub fn new(sink: Box<dyn Recorder + Send>) -> ObsSession {
         ObsSession {
             metrics: MetricsRegistry::new(),
             profiler: PhaseProfiler::new(),
@@ -148,7 +149,7 @@ impl ObsSession {
 
 /// Handle to an optional observability session. `Clone` is a pointer copy.
 #[derive(Clone, Default)]
-pub struct Obs(Option<Rc<RefCell<ObsSession>>>);
+pub struct Obs(Option<Arc<Mutex<ObsSession>>>);
 
 impl std::fmt::Debug for Obs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -171,8 +172,8 @@ impl Obs {
     /// An enabled handle recording into `sink`. A `journal_header` event
     /// (schema version + generator) is emitted first, so every sink-backed
     /// journal is self-describing.
-    pub fn with_sink(sink: Box<dyn Recorder>) -> Obs {
-        let obs = Obs(Some(Rc::new(RefCell::new(ObsSession::new(sink)))));
+    pub fn with_sink(sink: Box<dyn Recorder + Send>) -> Obs {
+        let obs = Obs::session(sink);
         obs.emit(Event::JournalHeader {
             schema: SCHEMA_VERSION,
             generator: format!("rowfpga-obs {}", env!("CARGO_PKG_VERSION")),
@@ -183,9 +184,7 @@ impl Obs {
     /// An enabled handle that keeps metrics and spans but drops events
     /// (no journal header, no per-span event allocation).
     pub fn metrics_only() -> Obs {
-        let obs = Obs(Some(Rc::new(RefCell::new(ObsSession::new(Box::new(
-            NoopRecorder,
-        ))))));
+        let obs = Obs::session(Box::new(NoopRecorder));
         obs.with_session(|s| s.emit_spans = false);
         obs
     }
@@ -194,8 +193,8 @@ impl Obs {
     /// 0 is the driver). Events carry the replica id and span ids are
     /// namespaced by `(replica as u64) << 32`; no journal header is
     /// emitted — the driver's journal already has one.
-    pub fn for_replica(replica: u32, sink: Box<dyn Recorder>) -> Obs {
-        let obs = Obs(Some(Rc::new(RefCell::new(ObsSession::new(sink)))));
+    pub fn for_replica(replica: u32, sink: Box<dyn Recorder + Send>) -> Obs {
+        let obs = Obs::session(sink);
         obs.with_session(|s| {
             s.replica = replica;
             s.profiler.set_id_base(u64::from(replica) << 32);
@@ -203,14 +202,19 @@ impl Obs {
         obs
     }
 
+    fn session(sink: Box<dyn Recorder + Send>) -> Obs {
+        Obs(Some(Arc::new(Mutex::new(ObsSession::new(sink)))))
+    }
+
     /// Whether this handle records anything.
     pub fn enabled(&self) -> bool {
         self.0.is_some()
     }
 
-    /// Runs `f` against the session, if enabled.
+    /// Runs `f` against the session, if enabled. The session stays locked
+    /// while `f` runs, so `f` must not call back into the handle.
     pub fn with_session<T>(&self, f: impl FnOnce(&mut ObsSession) -> T) -> Option<T> {
-        self.0.as_ref().map(|cell| f(&mut cell.borrow_mut()))
+        self.0.as_ref().map(|session| f(&mut lock(session)))
     }
 
     /// Increments a counter.
@@ -245,7 +249,7 @@ impl Obs {
         self.with_session(|s| s.span_end(name));
     }
 
-    /// Times `f` under a named span. The session borrow is released while
+    /// Times `f` under a named span. The session lock is released while
     /// `f` runs, so `f` may use this (or a cloned) handle freely.
     pub fn span<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> T {
         self.span_start(name);
@@ -335,8 +339,6 @@ mod tests {
 
     #[test]
     fn events_reach_the_sink() {
-        // Share a Vec<u8> via Rc<RefCell<…>> indirection: use a journal
-        // into a Vec and pull it back out through with_session.
         struct Counting {
             inner: RunJournal<Vec<u8>>,
         }

@@ -6,21 +6,27 @@
 //! connects a [`SocketSink`] to a listener (typically `rowfpga tail
 //! --listen PATH`), anything else creates a buffered [`RunJournal`] file.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::{BufWriter, Write};
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::record::{Event, EventMeta, Recorder, RunJournal};
+
+/// Locks `m`, poisoned or not. Journals are telemetry: the panic that
+/// poisoned the lock propagates on its own, and the update it cut short
+/// can at worst leave a span open or an event unrecorded.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A bounded in-memory sink keeping the most recent journal lines.
 ///
 /// Cloning the handle before boxing it into a session lets the owner read
 /// the buffer back after (or during) the run — the sink and the handle
-/// share one ring. Single-threaded like the rest of the session layer.
+/// share one ring, behind a lock like the session itself.
 #[derive(Clone, Debug, Default)]
 pub struct RingSink {
-    shared: Rc<RefCell<Ring>>,
+    shared: Arc<Mutex<Ring>>,
     capacity: usize,
 }
 
@@ -35,19 +41,19 @@ impl RingSink {
     /// dropped, counted in [`RingSink::dropped`]).
     pub fn new(capacity: usize) -> RingSink {
         RingSink {
-            shared: Rc::new(RefCell::new(Ring::default())),
+            shared: Arc::default(),
             capacity: capacity.max(1),
         }
     }
 
     /// The buffered lines, oldest first.
     pub fn snapshot(&self) -> Vec<String> {
-        self.shared.borrow().lines.iter().cloned().collect()
+        lock(&self.shared).lines.iter().cloned().collect()
     }
 
     /// Lines evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.shared.borrow().dropped
+        lock(&self.shared).dropped
     }
 }
 
@@ -63,7 +69,7 @@ impl Recorder for RingSink {
 
 impl RingSink {
     fn push(&mut self, line: String) {
-        let mut ring = self.shared.borrow_mut();
+        let mut ring = lock(&self.shared);
         if ring.lines.len() == self.capacity {
             ring.lines.pop_front();
             ring.dropped += 1;
@@ -74,10 +80,10 @@ impl RingSink {
 
 /// An unbounded sink keeping events *structured* (event + meta), so a
 /// parallel replica's journal can be replayed into the driver's session
-/// at an exchange barrier with attribution intact.
+/// at a temperature boundary with attribution intact.
 #[derive(Clone, Debug, Default)]
 pub struct ReplaySink {
-    shared: Rc<RefCell<Vec<(Event, EventMeta)>>>,
+    shared: Arc<Mutex<Vec<(Event, EventMeta)>>>,
 }
 
 impl ReplaySink {
@@ -88,17 +94,17 @@ impl ReplaySink {
 
     /// Takes every buffered `(event, meta)` pair, oldest first.
     pub fn drain(&self) -> Vec<(Event, EventMeta)> {
-        std::mem::take(&mut *self.shared.borrow_mut())
+        std::mem::take(&mut *lock(&self.shared))
     }
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.shared.borrow().len()
+        lock(&self.shared).len()
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.shared.borrow().is_empty()
+        lock(&self.shared).is_empty()
     }
 }
 
@@ -108,7 +114,7 @@ impl Recorder for ReplaySink {
     }
 
     fn record_with(&mut self, event: &Event, meta: &EventMeta) {
-        self.shared.borrow_mut().push((event.clone(), *meta));
+        lock(&self.shared).push((event.clone(), *meta));
     }
 }
 
@@ -364,7 +370,7 @@ pub const SOCKET_SPEC_PREFIX: &str = "unix:";
 
 /// Opens a journal sink from a spec string: `unix:PATH` connects to a
 /// listening socket, anything else creates (truncates) a JSONL file.
-pub fn open_sink(spec: &str) -> std::io::Result<Box<dyn Recorder>> {
+pub fn open_sink(spec: &str) -> std::io::Result<Box<dyn Recorder + Send>> {
     #[cfg(unix)]
     if let Some(path) = spec.strip_prefix(SOCKET_SPEC_PREFIX) {
         return Ok(Box::new(SocketSink::connect(path)?));

@@ -18,7 +18,7 @@
 
 use std::fmt;
 
-use rowfpga_anneal::{anneal_parallel, AnnealConfig, AnnealCursor, AnnealProblem, ParallelConfig};
+use rowfpga_anneal::{anneal_parallel, AnnealConfig, AnnealCursor, AnnealProblem};
 use rowfpga_arch::Architecture;
 use rowfpga_core::{
     arch_fingerprint, netlist_fingerprint, Checkpoint, CostConfig, LayoutProblem, WriteFault,
@@ -443,7 +443,6 @@ pub fn replica_determinism(
         seed: seed ^ 0x9e37,
         ..AnnealConfig::smoke()
     };
-    let par = ParallelConfig::default();
     let factory = |_r: usize| {
         LayoutProblem::new(
             arch,
@@ -455,8 +454,8 @@ pub fn replica_determinism(
         )
         .expect("a generated fuzz case always constructs")
     };
-    let a = anneal_parallel(factory, replicas, &config, &par);
-    let b = anneal_parallel(factory, replicas, &config, &par);
+    let a = anneal_parallel(factory, replicas, &config);
+    let b = anneal_parallel(factory, replicas, &config);
     if a.best_replica != b.best_replica
         || a.best_cost.to_bits() != b.best_cost.to_bits()
         || a.best != b.best
@@ -471,7 +470,7 @@ pub fn replica_determinism(
         ));
     }
     // K = 1 must reproduce the sequential engine exactly.
-    let single = anneal_parallel(factory, 1, &config, &par);
+    let single = anneal_parallel(factory, 1, &config);
     let mut problem = factory(0);
     rowfpga_anneal::anneal(&mut problem, &config, |_| {});
     let seq_snapshot = LayoutProblem::snapshot(&problem);
