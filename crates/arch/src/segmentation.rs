@@ -92,11 +92,6 @@ impl Track {
         &self.segments
     }
 
-    /// Number of segments on the track.
-    pub fn num_segments(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Index (within this track) of the segment covering `col`.
     ///
     /// Returns `None` only if `col` lies beyond the channel width.

@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::str::FromStr;
 
 /// Which layout flow to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -17,11 +18,7 @@ impl FlowChoice {
         match s {
             "sim" | "simultaneous" => Ok(FlowChoice::Simultaneous),
             "seq" | "sequential" => Ok(FlowChoice::Sequential),
-            other => Err(ArgError::BadValue {
-                flag: "--flow".into(),
-                value: other.into(),
-                expected: "sim|seq".into(),
-            }),
+            other => Err(bad_value("--flow", other, "sim|seq")),
         }
     }
 }
@@ -37,6 +34,21 @@ pub enum ThreadsChoice {
 }
 
 impl ThreadsChoice {
+    fn parse(s: &str) -> Result<ThreadsChoice, ArgError> {
+        if s == "auto" {
+            return Ok(ThreadsChoice::Auto);
+        }
+        match s.parse() {
+            Ok(0) => Err(bad_value(
+                "--threads",
+                "0",
+                "at least one replica (or `auto`)",
+            )),
+            Ok(n) => Ok(ThreadsChoice::Count(n)),
+            Err(_) => Err(bad_value("--threads", s, "a number")),
+        }
+    }
+
     /// The replica count to run with on a host with `host_cores` cores.
     pub fn resolve(self, host_cores: usize) -> usize {
         match self {
@@ -197,7 +209,8 @@ pub enum Command {
         iters: Option<u64>,
         /// Base seed for case and script generation.
         seed: u64,
-        /// Directory receiving shrunk `.net` + `.repro.json` pairs.
+        /// Directory receiving shrunk repros (`.arch`, `.net` and
+        /// `.repro.json` files).
         corpus: Option<String>,
         /// Smallest generated netlist, in cells.
         min_cells: usize,
@@ -326,6 +339,8 @@ pub enum ArgError {
         /// What contradicts what, and why.
         detail: String,
     },
+    /// A positional argument beyond the one the subcommand takes.
+    ExtraArgument(String),
 }
 
 impl fmt::Display for ArgError {
@@ -347,6 +362,7 @@ impl fmt::Display for ArgError {
             ArgError::MissingInput => write!(f, "missing input netlist path"),
             ArgError::MissingFlag(x) => write!(f, "required flag `{x}` is missing"),
             ArgError::Conflict { detail } => write!(f, "conflicting flags: {detail}"),
+            ArgError::ExtraArgument(x) => write!(f, "unexpected extra argument `{x}`"),
         }
     }
 }
@@ -449,173 +465,151 @@ FUZZING:
   routes, Elmore timing to ULP tolerance), rollback identity, checkpoint
   round trips and crash windows, and K-replica determinism. Failures are
   reduced to 1-minimal scripts with delta debugging and written to
-  `--corpus` as a `.net` + `.repro.json` pair; `--replay` re-runs one
-  such pair. With neither `--seconds` nor `--iters`, 20 iterations run.
-  Exit status is non-zero when any violation is found (or reproduced).
+  `--corpus` as `.arch`, `.net` and `.repro.json` files; `--replay`
+  re-runs one such repro. With neither `--seconds` nor `--iters`, 20
+  iterations run. Exit status is non-zero when any violation is found
+  (or reproduced).
 
 LINTING:
   rowfpga lint runs the workspace's domain lints (see DESIGN.md \u{a7}11
   and \u{a7}14): allocation-freedom in `rowfpga-lint: hot-path` modules,
   HashMap/clock bans in the deterministic solver crates, the per-crate
   panic budget ratchet against lint-budget.toml, feature-gating of
-  fault hooks, the unsafe audit, and the interprocedural analyses
-  (determinism taint, panic reachability, durability ordering, lock
-  discipline) over the workspace call graph. `--json` writes the CI
-  artifact report to stdout; `--fix-budget` re-records the panics /
-  taint / reachability budgets (downward only); `--explain LINT`
-  prints the rationale for one lint family (e.g. `--explain taint`)
-  and exits. Exit status is non-zero when any violation is found.
+  fault hooks, `#![forbid(unsafe_code)]` in every lib crate, and the
+  interprocedural analyses (determinism taint, panic reachability,
+  durability ordering, lock discipline) over the workspace call graph.
+  `--json` writes the CI artifact report to stdout; `--fix-budget`
+  re-records the panics / taint / reachability budgets (downward only);
+  `--explain LINT` prints the rationale for one lint family (e.g.
+  `--explain taint`) and exits. Exit status is non-zero when any
+  violation is found.
 ";
 
-fn parse_num<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, ArgError> {
-    let v = v.ok_or_else(|| ArgError::MissingValue(flag.into()))?;
-    v.parse().map_err(|_| ArgError::BadValue {
+fn bad_value(flag: &str, value: &str, expected: &str) -> ArgError {
+    ArgError::BadValue {
         flag: flag.into(),
-        value: v.clone(),
-        expected: "a number".into(),
-    })
+        value: value.into(),
+        expected: expected.into(),
+    }
 }
 
-/// Parses common layout flags out of `args`, returning leftover positional
-/// arguments.
-fn parse_common(args: &[String]) -> Result<(CommonOpts, Vec<String>), ArgError> {
+/// A cursor over one subcommand's arguments. The subcommand matches each
+/// flag that [`Cursor::next`] yields and reads its value with
+/// [`Cursor::value`], [`Cursor::num`] or [`Cursor::secs`]; any other
+/// argument goes to [`Cursor::positional`], which keeps at most one.
+struct Cursor<'a> {
+    rest: &'a [String],
+    positional: Option<String>,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(rest: &'a [String]) -> Self {
+        Cursor {
+            rest,
+            positional: None,
+        }
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        let (first, rest) = self.rest.split_first()?;
+        self.rest = rest;
+        Some(first)
+    }
+
+    /// The argument after `flag`, verbatim.
+    fn value(&mut self, flag: &str) -> Result<String, ArgError> {
+        self.next()
+            .map(str::to_owned)
+            .ok_or_else(|| ArgError::MissingValue(flag.into()))
+    }
+
+    /// The argument after `flag`, parsed as a number.
+    fn num<T: FromStr>(&mut self, flag: &str) -> Result<T, ArgError> {
+        let v = self.value(flag)?;
+        v.parse().map_err(|_| bad_value(flag, &v, "a number"))
+    }
+
+    /// The argument after `flag` as a finite number of seconds: above zero
+    /// when `positive`, else at least zero.
+    fn secs(&mut self, flag: &str, positive: bool) -> Result<f64, ArgError> {
+        let v = self.value(flag)?;
+        match v.parse::<f64>() {
+            Ok(s) if s.is_finite() && (s > 0.0 || s == 0.0 && !positive) => Ok(s),
+            Ok(_) if positive => Err(bad_value(flag, &v, "a positive number of seconds")),
+            Ok(_) => Err(bad_value(flag, &v, "a non-negative number of seconds")),
+            Err(_) => Err(bad_value(flag, &v, "a number")),
+        }
+    }
+
+    /// Keeps `arg` as the subcommand's one positional argument.
+    fn positional(&mut self, arg: &str) -> Result<(), ArgError> {
+        if arg.starts_with("--") {
+            return Err(ArgError::UnknownFlag(arg.into()));
+        }
+        if self.positional.is_some() {
+            return Err(ArgError::ExtraArgument(arg.into()));
+        }
+        self.positional = Some(arg.into());
+        Ok(())
+    }
+}
+
+/// Parses the layout flags shared by `layout`, `mintracks` and `bench`,
+/// offering every other flag to `own` (which returns whether it took it),
+/// and returns the options with the positional argument.
+fn parse_common<'a>(
+    mut c: Cursor<'a>,
+    mut own: impl FnMut(&str, &mut Cursor<'a>) -> Result<bool, ArgError>,
+) -> Result<(CommonOpts, Option<String>), ArgError> {
     let mut opts = CommonOpts::default();
-    let mut positional = Vec::new();
     let mut cadence_given = false;
     let mut keep_given = false;
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        match a.as_str() {
-            "--flow" => {
-                opts.flow = FlowChoice::parse(
-                    args.get(i + 1)
-                        .ok_or_else(|| ArgError::MissingValue("--flow".into()))?,
-                )?;
-                i += 1;
-            }
+    while let Some(flag) = c.next() {
+        match flag {
+            "--flow" => opts.flow = FlowChoice::parse(&c.value(flag)?)?,
             "--fast" => opts.fast = true,
-            "--seed" => {
-                opts.seed = parse_num("--seed", args.get(i + 1))?;
-                i += 1;
-            }
-            "--tracks" => {
-                opts.tracks = Some(parse_num("--tracks", args.get(i + 1))?);
-                i += 1;
-            }
-            "--svg" => {
-                opts.svg = Some(
-                    args.get(i + 1)
-                        .ok_or_else(|| ArgError::MissingValue("--svg".into()))?
-                        .clone(),
-                );
-                i += 1;
-            }
-            "--arch" => {
-                opts.arch = Some(
-                    args.get(i + 1)
-                        .ok_or_else(|| ArgError::MissingValue("--arch".into()))?
-                        .clone(),
-                );
-                i += 1;
-            }
+            "--seed" => opts.seed = c.num(flag)?,
+            "--tracks" => opts.tracks = Some(c.num(flag)?),
+            "--svg" => opts.svg = Some(c.value(flag)?),
+            "--arch" => opts.arch = Some(c.value(flag)?),
             "--ascii" => opts.ascii = true,
             "--report" => opts.report = true,
-            "--journal" => {
-                opts.journal = Some(
-                    args.get(i + 1)
-                        .ok_or_else(|| ArgError::MissingValue("--journal".into()))?
-                        .clone(),
-                );
-                i += 1;
-            }
+            "--journal" => opts.journal = Some(c.value(flag)?),
             "--metrics" => opts.metrics = true,
-            "--checkpoint" => {
-                opts.checkpoint = Some(
-                    args.get(i + 1)
-                        .ok_or_else(|| ArgError::MissingValue("--checkpoint".into()))?
-                        .clone(),
-                );
-                i += 1;
-            }
+            "--checkpoint" => opts.checkpoint = Some(c.value(flag)?),
             "--checkpoint-every" => {
-                opts.checkpoint_every = parse_num("--checkpoint-every", args.get(i + 1))?;
+                opts.checkpoint_every = c.num(flag)?;
                 cadence_given = true;
-                i += 1;
             }
             "--checkpoint-keep" => {
-                opts.checkpoint_keep = parse_num("--checkpoint-keep", args.get(i + 1))?;
+                opts.checkpoint_keep = c.num(flag)?;
                 keep_given = true;
-                i += 1;
             }
-            "--resume" => {
-                opts.resume = Some(
-                    args.get(i + 1)
-                        .ok_or_else(|| ArgError::MissingValue("--resume".into()))?
-                        .clone(),
-                );
-                i += 1;
-            }
-            "--deadline" => {
-                let secs: f64 = parse_num("--deadline", args.get(i + 1))?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err(ArgError::BadValue {
-                        flag: "--deadline".into(),
-                        value: args[i + 1].clone(),
-                        expected: "a non-negative number of seconds".into(),
-                    });
-                }
-                opts.deadline = Some(secs);
-                i += 1;
-            }
-            "--audit-every" => {
-                opts.audit_every = parse_num("--audit-every", args.get(i + 1))?;
-                i += 1;
-            }
-            "--temp-budget" => {
-                opts.temp_budget = Some(parse_num("--temp-budget", args.get(i + 1))?);
-                i += 1;
-            }
-            "--threads" => {
-                let v = args
-                    .get(i + 1)
-                    .ok_or_else(|| ArgError::MissingValue("--threads".into()))?;
-                opts.threads = if v == "auto" {
-                    ThreadsChoice::Auto
-                } else {
-                    ThreadsChoice::Count(parse_num("--threads", args.get(i + 1))?)
-                };
-                if opts.threads == ThreadsChoice::Count(0) {
-                    return Err(ArgError::BadValue {
-                        flag: "--threads".into(),
-                        value: "0".into(),
-                        expected: "at least one replica (or `auto`)".into(),
-                    });
-                }
-                i += 1;
-            }
-            "--blif" | "--start" => positional.push(a.clone()), // handled by callers
-            _ if a.starts_with("--") => return Err(ArgError::UnknownFlag(a.clone())),
-            _ => positional.push(a.clone()),
+            "--resume" => opts.resume = Some(c.value(flag)?),
+            "--deadline" => opts.deadline = Some(c.secs(flag, false)?),
+            "--audit-every" => opts.audit_every = c.num(flag)?,
+            "--temp-budget" => opts.temp_budget = Some(c.num(flag)?),
+            "--threads" => opts.threads = ThreadsChoice::parse(&c.value(flag)?)?,
+            _ if own(flag, &mut c)? => {}
+            _ => c.positional(flag)?,
         }
-        i += 1;
     }
-    if cadence_given && opts.checkpoint.is_none() && opts.resume.is_none() {
-        return Err(ArgError::Conflict {
-            detail: "`--checkpoint-every` has no effect without `--checkpoint`".into(),
-        });
-    }
-    if keep_given && opts.checkpoint.is_none() && opts.resume.is_none() {
-        return Err(ArgError::Conflict {
-            detail: "`--checkpoint-keep` has no effect without `--checkpoint`".into(),
-        });
+    for (given, flag) in [
+        (cadence_given, "--checkpoint-every"),
+        (keep_given, "--checkpoint-keep"),
+    ] {
+        if given && opts.checkpoint.is_none() && opts.resume.is_none() {
+            return Err(ArgError::Conflict {
+                detail: format!("`{flag}` has no effect without `--checkpoint`"),
+            });
+        }
     }
     if opts.checkpoint_every == 0 {
-        return Err(ArgError::BadValue {
-            flag: "--checkpoint-every".into(),
-            value: "0".into(),
-            expected: "a cadence of at least 1 temperature step".into(),
-        });
+        return Err(bad_value(
+            "--checkpoint-every",
+            "0",
+            "a cadence of at least 1 temperature step",
+        ));
     }
     if opts.flow == FlowChoice::Sequential {
         if let Some(flag) = opts.resilience_flag() {
@@ -634,7 +628,7 @@ fn parse_common(args: &[String]) -> Result<(CommonOpts, Vec<String>), ArgError> 
             });
         }
     }
-    Ok((opts, positional))
+    Ok((opts, c.positional))
 }
 
 /// Parses a full argument vector (without the program name).
@@ -642,7 +636,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
     let Some(cmd) = args.first() else {
         return Err(ArgError::MissingCommand);
     };
-    let rest = &args[1..];
+    let mut c = Cursor::new(&args[1..]);
     match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "generate" => {
@@ -652,39 +646,16 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             let mut seq = 6usize;
             let mut seed = 1u64;
             let mut output = "-".to_owned();
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--cells" => {
-                        cells = parse_num("--cells", rest.get(i + 1))?;
-                        i += 1;
-                    }
-                    "--inputs" => {
-                        inputs = parse_num("--inputs", rest.get(i + 1))?;
-                        i += 1;
-                    }
-                    "--outputs" => {
-                        outputs = parse_num("--outputs", rest.get(i + 1))?;
-                        i += 1;
-                    }
-                    "--seq" => {
-                        seq = parse_num("--seq", rest.get(i + 1))?;
-                        i += 1;
-                    }
-                    "--seed" => {
-                        seed = parse_num("--seed", rest.get(i + 1))?;
-                        i += 1;
-                    }
-                    "-o" | "--output" => {
-                        output = rest
-                            .get(i + 1)
-                            .ok_or_else(|| ArgError::MissingValue("-o".into()))?
-                            .clone();
-                        i += 1;
-                    }
-                    other => return Err(ArgError::UnknownFlag(other.into())),
+            while let Some(flag) = c.next() {
+                match flag {
+                    "--cells" => cells = c.num(flag)?,
+                    "--inputs" => inputs = c.num(flag)?,
+                    "--outputs" => outputs = c.num(flag)?,
+                    "--seq" => seq = c.num(flag)?,
+                    "--seed" => seed = c.num(flag)?,
+                    "-o" | "--output" => output = c.value("-o")?,
+                    _ => return Err(ArgError::UnknownFlag(flag.into())),
                 }
-                i += 1;
             }
             Ok(Command::Generate {
                 cells,
@@ -696,17 +667,25 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             })
         }
         "layout" => {
-            let (opts, positional) = parse_common(rest)?;
-            let blif = positional.iter().any(|p| p == "--blif");
-            let input = positional
-                .iter()
-                .find(|p| !p.starts_with("--"))
-                .ok_or(ArgError::MissingInput)?
-                .clone();
+            let mut blif = false;
+            let (opts, input) = parse_common(c, |flag, _| {
+                blif |= flag == "--blif";
+                Ok(flag == "--blif")
+            })?;
+            let input = input.ok_or(ArgError::MissingInput)?;
             Ok(Command::Layout { input, blif, opts })
         }
         "mintracks" => {
-            let (opts, positional) = parse_common(rest)?;
+            let mut blif = false;
+            let mut start = 36usize;
+            let (opts, input) = parse_common(c, |flag, c| {
+                match flag {
+                    "--blif" => blif = true,
+                    "--start" => start = c.num(flag)?,
+                    _ => return Ok(false),
+                }
+                Ok(true)
+            })?;
             if let Some(flag) = opts.resilience_flag() {
                 return Err(ArgError::Conflict {
                     detail: format!(
@@ -715,34 +694,16 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
                     ),
                 });
             }
-            let blif = positional.iter().any(|p| p == "--blif");
-            let mut start = 36usize;
-            if let Some(i) = positional.iter().position(|p| p == "--start") {
-                start = parse_num("--start", positional.get(i + 1))?;
-            }
-            let input = positional
-                .iter()
-                .enumerate()
-                .find(|(i, p)| {
-                    !p.starts_with("--")
-                        && positional.get(i.wrapping_sub(1)).map(String::as_str) != Some("--start")
-                })
-                .map(|(_, p)| p.clone())
-                .ok_or(ArgError::MissingInput)?;
             Ok(Command::MinTracks {
-                input,
+                input: input.ok_or(ArgError::MissingInput)?,
                 blif,
                 start,
                 opts,
             })
         }
         "bench" => {
-            let (opts, positional) = parse_common(rest)?;
-            let name = positional
-                .iter()
-                .find(|p| !p.starts_with("--"))
-                .ok_or(ArgError::MissingInput)?
-                .clone();
+            let (opts, name) = parse_common(c, |_, _| Ok(false))?;
+            let name = name.ok_or(ArgError::MissingInput)?;
             Ok(Command::Bench { name, opts })
         }
         "fuzz" => {
@@ -753,48 +714,17 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             let mut min_cells = 20usize;
             let mut max_cells = 400usize;
             let mut replay = None;
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--seconds" => {
-                        seconds = Some(parse_num("--seconds", rest.get(i + 1))?);
-                        i += 1;
-                    }
-                    "--iters" => {
-                        iters = Some(parse_num("--iters", rest.get(i + 1))?);
-                        i += 1;
-                    }
-                    "--seed" => {
-                        seed = parse_num("--seed", rest.get(i + 1))?;
-                        i += 1;
-                    }
-                    "--corpus" => {
-                        corpus = Some(
-                            rest.get(i + 1)
-                                .ok_or_else(|| ArgError::MissingValue("--corpus".into()))?
-                                .clone(),
-                        );
-                        i += 1;
-                    }
-                    "--min-cells" => {
-                        min_cells = parse_num("--min-cells", rest.get(i + 1))?;
-                        i += 1;
-                    }
-                    "--max-cells" => {
-                        max_cells = parse_num("--max-cells", rest.get(i + 1))?;
-                        i += 1;
-                    }
-                    "--replay" => {
-                        replay = Some(
-                            rest.get(i + 1)
-                                .ok_or_else(|| ArgError::MissingValue("--replay".into()))?
-                                .clone(),
-                        );
-                        i += 1;
-                    }
-                    other => return Err(ArgError::UnknownFlag(other.into())),
+            while let Some(flag) = c.next() {
+                match flag {
+                    "--seconds" => seconds = Some(c.num(flag)?),
+                    "--iters" => iters = Some(c.num(flag)?),
+                    "--seed" => seed = c.num(flag)?,
+                    "--corpus" => corpus = Some(c.value(flag)?),
+                    "--min-cells" => min_cells = c.num(flag)?,
+                    "--max-cells" => max_cells = c.num(flag)?,
+                    "--replay" => replay = Some(c.value(flag)?),
+                    _ => return Err(ArgError::UnknownFlag(flag.into())),
                 }
-                i += 1;
             }
             if min_cells > max_cells {
                 return Err(ArgError::Conflict {
@@ -819,22 +749,16 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             })
         }
         "tail" => {
-            let mut source = None;
             let mut listen = false;
             let mut follow = true;
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
+            while let Some(flag) = c.next() {
+                match flag {
                     "--listen" => listen = true,
                     "--no-follow" => follow = false,
-                    other if other.starts_with("--") => {
-                        return Err(ArgError::UnknownFlag(other.into()))
-                    }
-                    other => source = Some(other.to_owned()),
+                    _ => c.positional(flag)?,
                 }
-                i += 1;
             }
-            let source = source.ok_or(ArgError::MissingInput)?;
+            let source = c.positional.ok_or(ArgError::MissingInput)?;
             if listen && !source.starts_with("unix:") {
                 return Err(ArgError::Conflict {
                     detail: "`--listen` needs a `unix:PATH` source to bind".into(),
@@ -847,29 +771,17 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             })
         }
         "analyze" => {
-            let mut journal = None;
             let mut out_dir = "results".to_owned();
             let mut quiet = false;
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--out" => {
-                        out_dir = rest
-                            .get(i + 1)
-                            .ok_or_else(|| ArgError::MissingValue("--out".into()))?
-                            .clone();
-                        i += 1;
-                    }
+            while let Some(flag) = c.next() {
+                match flag {
+                    "--out" => out_dir = c.value(flag)?,
                     "--quiet" => quiet = true,
-                    other if other.starts_with("--") => {
-                        return Err(ArgError::UnknownFlag(other.into()))
-                    }
-                    other => journal = Some(other.to_owned()),
+                    _ => c.positional(flag)?,
                 }
-                i += 1;
             }
             Ok(Command::Analyze {
-                journal: journal.ok_or(ArgError::MissingInput)?,
+                journal: c.positional.ok_or(ArgError::MissingInput)?,
                 out_dir,
                 quiet,
             })
@@ -879,30 +791,14 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             let mut fix_budget = false;
             let mut explain = None;
             let mut root = None;
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
+            while let Some(flag) = c.next() {
+                match flag {
                     "--json" => json = true,
                     "--fix-budget" => fix_budget = true,
-                    "--explain" => {
-                        explain = Some(
-                            rest.get(i + 1)
-                                .ok_or_else(|| ArgError::MissingValue("--explain".into()))?
-                                .clone(),
-                        );
-                        i += 1;
-                    }
-                    "--root" => {
-                        root = Some(
-                            rest.get(i + 1)
-                                .ok_or_else(|| ArgError::MissingValue("--root".into()))?
-                                .clone(),
-                        );
-                        i += 1;
-                    }
-                    other => return Err(ArgError::UnknownFlag(other.into())),
+                    "--explain" => explain = Some(c.value(flag)?),
+                    "--root" => root = Some(c.value(flag)?),
+                    _ => return Err(ArgError::UnknownFlag(flag.into())),
                 }
-                i += 1;
             }
             Ok(Command::Lint {
                 json,
@@ -918,48 +814,24 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             let mut queue = 16usize;
             let mut checkpoint_every = 1usize;
             let mut checkpoint_keep = 3usize;
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--socket" => {
-                        socket = Some(take_value("--socket", rest.get(i + 1))?);
-                        i += 1;
-                    }
-                    "--spool" => {
-                        spool = Some(take_value("--spool", rest.get(i + 1))?);
-                        i += 1;
-                    }
-                    "--workers" => {
-                        workers = parse_num("--workers", rest.get(i + 1))?;
-                        i += 1;
-                    }
-                    "--queue" => {
-                        queue = parse_num("--queue", rest.get(i + 1))?;
-                        i += 1;
-                    }
-                    "--checkpoint-every" => {
-                        checkpoint_every = parse_num("--checkpoint-every", rest.get(i + 1))?;
-                        i += 1;
-                    }
-                    "--checkpoint-keep" => {
-                        checkpoint_keep = parse_num("--checkpoint-keep", rest.get(i + 1))?;
-                        i += 1;
-                    }
-                    other => return Err(ArgError::UnknownFlag(other.into())),
+            while let Some(flag) = c.next() {
+                match flag {
+                    "--socket" => socket = Some(c.value(flag)?),
+                    "--spool" => spool = Some(c.value(flag)?),
+                    "--workers" => workers = c.num(flag)?,
+                    "--queue" => queue = c.num(flag)?,
+                    "--checkpoint-every" => checkpoint_every = c.num(flag)?,
+                    "--checkpoint-keep" => checkpoint_keep = c.num(flag)?,
+                    _ => return Err(ArgError::UnknownFlag(flag.into())),
                 }
-                i += 1;
             }
-            for (flag, value, min) in [
-                ("--workers", workers, 1),
-                ("--queue", queue, 1),
-                ("--checkpoint-every", checkpoint_every, 1),
+            for (flag, value) in [
+                ("--workers", workers),
+                ("--queue", queue),
+                ("--checkpoint-every", checkpoint_every),
             ] {
-                if value < min {
-                    return Err(ArgError::BadValue {
-                        flag: flag.into(),
-                        value: "0".into(),
-                        expected: "at least 1".into(),
-                    });
+                if value == 0 {
+                    return Err(bad_value(flag, "0", "at least 1"));
                 }
             }
             Ok(Command::Serve {
@@ -972,7 +844,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             })
         }
         "submit" => {
-            let mut input = None;
             let mut socket = None;
             let mut seed = 1u64;
             let mut priority = 0i64;
@@ -983,68 +854,23 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
             let mut journal = None;
             let mut wait = false;
             let mut timeout = 600.0f64;
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--socket" => {
-                        socket = Some(take_value("--socket", rest.get(i + 1))?);
-                        i += 1;
-                    }
-                    "--seed" => {
-                        seed = parse_num("--seed", rest.get(i + 1))?;
-                        i += 1;
-                    }
-                    "--priority" => {
-                        priority = parse_num("--priority", rest.get(i + 1))?;
-                        i += 1;
-                    }
-                    "--deadline" => {
-                        let secs: f64 = parse_num("--deadline", rest.get(i + 1))?;
-                        if !secs.is_finite() || secs <= 0.0 {
-                            return Err(ArgError::BadValue {
-                                flag: "--deadline".into(),
-                                value: rest[i + 1].clone(),
-                                expected: "a positive number of seconds".into(),
-                            });
-                        }
-                        deadline = Some(secs);
-                        i += 1;
-                    }
+            while let Some(flag) = c.next() {
+                match flag {
+                    "--socket" => socket = Some(c.value(flag)?),
+                    "--seed" => seed = c.num(flag)?,
+                    "--priority" => priority = c.num(flag)?,
+                    "--deadline" => deadline = Some(c.secs(flag, true)?),
                     "--fast" => fast = true,
-                    "--tracks" => {
-                        tracks = Some(parse_num("--tracks", rest.get(i + 1))?);
-                        i += 1;
-                    }
-                    "--arch" => {
-                        arch = Some(take_value("--arch", rest.get(i + 1))?);
-                        i += 1;
-                    }
-                    "--journal" => {
-                        journal = Some(take_value("--journal", rest.get(i + 1))?);
-                        i += 1;
-                    }
+                    "--tracks" => tracks = Some(c.num(flag)?),
+                    "--arch" => arch = Some(c.value(flag)?),
+                    "--journal" => journal = Some(c.value(flag)?),
                     "--wait" => wait = true,
-                    "--timeout" => {
-                        let secs: f64 = parse_num("--timeout", rest.get(i + 1))?;
-                        if !secs.is_finite() || secs <= 0.0 {
-                            return Err(ArgError::BadValue {
-                                flag: "--timeout".into(),
-                                value: rest[i + 1].clone(),
-                                expected: "a positive number of seconds".into(),
-                            });
-                        }
-                        timeout = secs;
-                        i += 1;
-                    }
-                    other if other.starts_with("--") => {
-                        return Err(ArgError::UnknownFlag(other.into()))
-                    }
-                    other => input = Some(other.to_owned()),
+                    "--timeout" => timeout = c.secs(flag, true)?,
+                    _ => c.positional(flag)?,
                 }
-                i += 1;
             }
             Ok(Command::Submit {
-                input: input.ok_or(ArgError::MissingInput)?,
+                input: c.positional.ok_or(ArgError::MissingInput)?,
                 socket: socket.ok_or_else(|| ArgError::MissingFlag("--socket".into()))?,
                 seed,
                 priority,
@@ -1057,46 +883,28 @@ pub fn parse_args(args: &[String]) -> Result<Command, ArgError> {
                 timeout,
             })
         }
-        "jobs" => {
-            let (socket, job) = parse_socket_and_job(rest)?;
-            Ok(Command::Jobs { socket, job })
-        }
-        "cancel" => {
-            let (socket, job) = parse_socket_and_job(rest)?;
+        "jobs" | "cancel" => {
+            let mut socket = None;
+            while let Some(flag) = c.next() {
+                match flag {
+                    "--socket" => socket = Some(c.value(flag)?),
+                    _ => c.positional(flag)?,
+                }
+            }
+            let socket = socket.ok_or_else(|| ArgError::MissingFlag("--socket".into()))?;
+            if cmd == "jobs" {
+                return Ok(Command::Jobs {
+                    socket,
+                    job: c.positional,
+                });
+            }
             Ok(Command::CancelJob {
                 socket,
-                job: job.ok_or(ArgError::MissingInput)?,
+                job: c.positional.ok_or(ArgError::MissingInput)?,
             })
         }
         other => Err(ArgError::UnknownCommand(other.into())),
     }
-}
-
-fn take_value(flag: &str, v: Option<&String>) -> Result<String, ArgError> {
-    v.cloned()
-        .ok_or_else(|| ArgError::MissingValue(flag.into()))
-}
-
-/// Parses the shared `--socket PATH [JOB]` shape of `jobs` and `cancel`.
-fn parse_socket_and_job(rest: &[String]) -> Result<(String, Option<String>), ArgError> {
-    let mut socket = None;
-    let mut job = None;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--socket" => {
-                socket = Some(take_value("--socket", rest.get(i + 1))?);
-                i += 1;
-            }
-            other if other.starts_with("--") => return Err(ArgError::UnknownFlag(other.into())),
-            other => job = Some(other.to_owned()),
-        }
-        i += 1;
-    }
-    Ok((
-        socket.ok_or_else(|| ArgError::MissingFlag("--socket".into()))?,
-        job,
-    ))
 }
 
 #[cfg(test)]
@@ -1687,6 +1495,60 @@ mod tests {
             ArgError::MissingInput
         ));
         assert!(USAGE.contains("rowfpga submit"));
+    }
+
+    #[test]
+    fn own_flags_do_not_leak_into_other_subcommands() {
+        // `--start` belongs to mintracks and `--blif` to the subcommands
+        // that read a netlist file; neither is a positional elsewhere.
+        for args in [
+            &["layout", "--start", "24", "d.net"][..],
+            &["layout", "d.net", "--start", "24"][..],
+            &["bench", "cse", "--blif"][..],
+            &["bench", "cse", "--start", "3"][..],
+        ] {
+            let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
+            assert_eq!(
+                parse_args(&v(args)).unwrap_err(),
+                ArgError::UnknownFlag(flag.to_string()),
+                "{args:?}"
+            );
+        }
+        // mintracks takes both, in any position, and never reads the
+        // `--start` value as its input.
+        match parse_args(&v(&["mintracks", "--start", "24", "--blif", "d.blif"])).unwrap() {
+            Command::MinTracks {
+                input, blif, start, ..
+            } => {
+                assert_eq!(input, "d.blif");
+                assert!(blif);
+                assert_eq!(start, 24);
+            }
+            _ => panic!("wrong command"),
+        }
+    }
+
+    #[test]
+    fn a_second_positional_is_rejected() {
+        for (args, extra) in [
+            (&["layout", "a.net", "b.net"][..], "b.net"),
+            (
+                &["mintracks", "a.net", "--start", "24", "b.net"][..],
+                "b.net",
+            ),
+            (&["bench", "cse", "s1"][..], "s1"),
+            (&["tail", "a.jsonl", "b.jsonl"][..], "b.jsonl"),
+            (&["analyze", "a.jsonl", "b.jsonl"][..], "b.jsonl"),
+            (&["submit", "a.net", "b.net", "--socket", "s"][..], "b.net"),
+            (&["jobs", "--socket", "s", "a", "b"][..], "b"),
+            (&["cancel", "--socket", "s", "a", "b"][..], "b"),
+        ] {
+            assert_eq!(
+                parse_args(&v(args)).unwrap_err(),
+                ArgError::ExtraArgument(extra.to_string()),
+                "{args:?}"
+            );
+        }
     }
 
     #[test]

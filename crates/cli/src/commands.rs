@@ -647,6 +647,36 @@ mod tests {
     }
 
     #[test]
+    fn a_saved_repro_replays_and_its_fabric_lays_out() {
+        use rowfpga_verify::{random_case, random_script, CaseConfig, Repro};
+        let case = random_case(
+            3,
+            &CaseConfig {
+                min_cells: 20,
+                max_cells: 30,
+            },
+        );
+        let repro = Repro {
+            arch_file: "r.arch".into(),
+            netlist_file: "r.net".into(),
+            placement_seed: 3,
+            script: random_script(&case, 4, 8),
+            failure: "none".into(),
+            original_len: 8,
+        };
+        let dir = std::env::temp_dir().join(format!("rowfpga-cli-repro-{}", std::process::id()));
+        let sidecar = repro.save(&dir, "r", &case.arch, &case.netlist).unwrap();
+        let path = |p: &std::path::Path| p.to_str().unwrap().to_string();
+        let out = run(&["fuzz", "--replay", &path(&sidecar)]).unwrap();
+        assert!(out.contains("replays cleanly"), "{out}");
+        let (net, arch) = (path(&dir.join("r.net")), path(&dir.join("r.arch")));
+        let out = run(&["layout", &net, "--arch", &arch, "--fast"]).unwrap();
+        let tracks = format!("{} tracks/channel", case.arch.tracks_per_channel());
+        assert!(out.contains(&tracks), "{out}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn generate_to_stdout_is_parseable() {
         let out = run(&["generate", "--cells", "40", "--seed", "9"]).unwrap();
         let nl = parse_netlist(&out).expect("generated netlist parses");

@@ -8,10 +8,9 @@
 //! with escapes, raw strings with any hash count (`r##"…"##`), char
 //! literals, raw identifiers (`r#type`), and numeric literals.
 //!
-//! Comments are not discarded blindly: `rowfpga-lint:` directives and
-//! `SAFETY:` annotations are extracted during the scan (see
-//! [`Directive`]), because the allow-list grammar and the unsafe-audit
-//! lint live in comments.
+//! Comments are not discarded blindly: `rowfpga-lint:` directives are
+//! extracted during the scan (see [`Directive`]), because the allow-list
+//! grammar lives in comments.
 
 use std::fmt;
 
@@ -126,8 +125,6 @@ pub struct Lexed {
     pub tokens: Vec<Token>,
     /// All `rowfpga-lint:` directives found in comments.
     pub directives: Vec<PlacedDirective>,
-    /// Lines whose comments contain a `SAFETY:` annotation.
-    pub safety_lines: Vec<u32>,
 }
 
 impl Lexed {
@@ -398,11 +395,8 @@ fn lex_prefixed_literal(b: &[u8], i: usize) -> Option<(usize, TokenKind)> {
     Some((n, TokenKind::Str))
 }
 
-/// Extracts directives and `SAFETY:` annotations from one comment's text.
+/// Extracts the directive, if any, from one comment's text.
 fn scan_comment(text: &str, line: u32, out: &mut Lexed) {
-    if text.contains("SAFETY:") {
-        out.safety_lines.push(line);
-    }
     const KEY: &str = "rowfpga-lint:";
     // Doc comments are documentation: they may *mention* the directive
     // grammar (this crate's own docs do) but never carry directives.
@@ -438,7 +432,6 @@ const ALLOWABLE: &[&str] = &[
     "hot-path",
     "determinism",
     "cfg-hygiene",
-    "unsafe",
     "taint",
     "durability",
     "locks",
@@ -609,13 +602,6 @@ x(); // rowfpga-lint: allow(determinism) reason=order independent
         assert_eq!(lx.directives.len(), 1, "{:?}", lx.directives);
         assert!(matches!(lx.directives[0].directive, Directive::HotPath));
         assert_eq!(lx.directives[0].line, 4);
-    }
-
-    #[test]
-    fn safety_lines_recorded() {
-        let src = "// SAFETY: bounds checked above\nunsafe { x() }\n";
-        let lx = lex(src);
-        assert_eq!(lx.safety_lines, vec![1]);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   property);
 //! * panic sites in library code only ever shrink ([`budget`]);
 //! * fault-injection hooks stay feature-gated;
-//! * `unsafe` stays forbidden (and audited where fixtures use it).
+//! * every lib crate keeps `#![forbid(unsafe_code)]` (clippy's
+//!   `undocumented_unsafe_blocks` audits the binary's `unsafe` blocks).
 //!
 //! On top of the per-file token lints sits a workspace-level analyzer: a
 //! hand-rolled item parser ([`items`]) feeds a cross-crate call graph
@@ -165,7 +166,6 @@ pub fn rules_for(crate_name: &str) -> FileRules {
         determinism_time: !WALL_CLOCK_CRATES.contains(&crate_name),
         count_panics: true,
         cfg_hygiene: true,
-        unsafe_audit: true,
     }
 }
 
@@ -179,7 +179,6 @@ pub const EXPLAINABLE: &[&str] = &[
     "locks",
     "panic-budget",
     "cfg-hygiene",
-    "unsafe",
 ];
 
 /// One-paragraph explanations for `rowfpga lint --explain <LINT>`.
@@ -244,10 +243,6 @@ pub fn explain(lint: &str) -> Option<&'static str> {
             "Fault-injection hooks (FaultPlan, InjectedFault, inject_fault, fault_*) \
              must sit inside #[cfg(feature = \"fault-inject\")] so production builds \
              cannot reach injection code."
-        }
-        "unsafe" => {
-            "Every `unsafe` token needs an adjacent `// SAFETY:` comment, and every \
-             lib crate must keep #![forbid(unsafe_code)]."
         }
         _ => return None,
     })

@@ -18,8 +18,11 @@
 //! * **cfg-hygiene** — fault-injection hooks (`FaultPlan`,
 //!   `InjectedFault`, `inject_fault`, any `fault_*` identifier) must sit
 //!   inside `#[cfg(feature = "fault-inject")]`.
-//! * **unsafe** — every `unsafe` token needs an adjacent `// SAFETY:`
-//!   comment, and every lib crate must keep `#![forbid(unsafe_code)]`.
+//!
+//! Every lib crate must also keep `#![forbid(unsafe_code)]`, which the
+//! engine checks through [`FileAnalysis::has_forbid_unsafe`]. Clippy's
+//! `undocumented_unsafe_blocks` lint requires the `// SAFETY:` comment on
+//! the `unsafe` blocks elsewhere (the CLI binary's signal handler).
 
 use crate::lexer::{lex, Directive, Lexed, TokenKind};
 use crate::regions::{gated_mask, Gate};
@@ -37,8 +40,6 @@ pub struct FileRules {
     pub count_panics: bool,
     /// Deny ungated fault hooks.
     pub cfg_hygiene: bool,
-    /// Require `// SAFETY:` next to `unsafe`.
-    pub unsafe_audit: bool,
 }
 
 /// Everything the engine learns from one file.
@@ -200,24 +201,6 @@ pub fn analyze_lexed(file: &str, src: &str, lx: &Lexed, rules: FileRules) -> Fil
                 );
             }
         }
-
-        if rules.unsafe_audit
-            && lx.tokens[i].kind == TokenKind::Ident
-            && lx.text(src, i) == "unsafe"
-        {
-            let documented = lx
-                .safety_lines
-                .iter()
-                .any(|&l| l <= line && line.saturating_sub(l) <= 2);
-            if !documented {
-                push(
-                    &mut violations,
-                    "unsafe",
-                    line,
-                    "`unsafe` without an adjacent `// SAFETY:` comment".to_string(),
-                );
-            }
-        }
     }
     out.violations.extend(violations);
     out.allows = allows;
@@ -372,7 +355,6 @@ mod tests {
         determinism_time: true,
         count_panics: true,
         cfg_hygiene: true,
-        unsafe_audit: true,
     };
 
     fn lints_of(src: &str) -> Vec<String> {
@@ -463,13 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_needs_safety_comment() {
-        assert_eq!(lints_of("fn f() { unsafe { g() } }"), vec!["unsafe"]);
-        let good = "fn f() {\n    // SAFETY: g has no preconditions\n    unsafe { g() }\n}";
-        assert!(lints_of(good).is_empty());
-    }
-
-    #[test]
     fn forbid_unsafe_detected() {
         assert!(
             analyze_source("t.rs", "#![forbid(unsafe_code)]\nfn f() {}", ALL).has_forbid_unsafe
@@ -482,7 +457,7 @@ mod tests {
         let src = "
 // rowfpga-lint: allow(determinism)
 // rowfpga-lint: begin-allow(hot-path) reason=never closed
-// rowfpga-lint: end-allow(unsafe)
+// rowfpga-lint: end-allow(locks)
 fn f() {}
 ";
         let lints = lints_of(src);

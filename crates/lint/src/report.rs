@@ -8,7 +8,7 @@ use std::fmt;
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Violation {
     /// Lint id (`hot-path`, `determinism`, `taint`, `reachability`,
-    /// `durability`, `locks`, `panic-budget`, `cfg-hygiene`, `unsafe`,
+    /// `durability`, `locks`, `panic-budget`, `cfg-hygiene`,
     /// `forbid-unsafe`, `directive`).
     pub lint: String,
     /// Workspace-relative file path (or `lint-budget.toml` for ratchet

@@ -13,7 +13,6 @@ const ALL: FileRules = FileRules {
     determinism_time: true,
     count_panics: true,
     cfg_hygiene: true,
-    unsafe_audit: true,
 };
 
 fn fixture(rel: &str) -> PathBuf {
@@ -53,7 +52,6 @@ fn bad_fixture_fires_each_lint_at_the_expected_line() {
         ("determinism", 14),
         ("determinism", 18),
         ("cfg-hygiene", 21),
-        ("unsafe", 28),
     ];
     for (lint, line) in expected {
         assert!(
@@ -86,7 +84,6 @@ fn bad_repo_fails_every_lint_family() {
         "hot-path",
         "determinism",
         "cfg-hygiene",
-        "unsafe",
         "forbid-unsafe",
         "panic-budget",
     ] {

@@ -36,7 +36,6 @@ pub struct CriticalPath {
 #[derive(Clone, Debug)]
 pub struct Sta {
     arr: Vec<f64>,
-    endpoint_arr: Vec<f64>,
     net_delays: Vec<Vec<f64>>,
     worst: f64,
     worst_endpoint: Option<CellId>,
@@ -117,7 +116,6 @@ impl Sta {
             arr[cell.index()] = worst_input + cell_intrinsic_delay(arch, kind);
         }
 
-        let mut endpoint_arr = vec![f64::NEG_INFINITY; netlist.num_cells()];
         let mut worst = 0.0f64;
         let mut worst_endpoint = None;
         for (id, cell) in netlist.cells() {
@@ -126,7 +124,6 @@ impl Sta {
             }
             let ea = worst_input_arrival(netlist, &arr, &net_delays, id).unwrap_or(0.0)
                 + endpoint_intrinsic_delay(arch, cell.kind());
-            endpoint_arr[id.index()] = ea;
             if ea > worst {
                 worst = ea;
                 worst_endpoint = Some(id);
@@ -135,7 +132,6 @@ impl Sta {
 
         Ok(Sta {
             arr,
-            endpoint_arr,
             net_delays,
             worst,
             worst_endpoint,
@@ -151,12 +147,6 @@ impl Sta {
     /// cells).
     pub fn arrival(&self, cell: CellId) -> f64 {
         self.arr[cell.index()]
-    }
-
-    /// Arrival at an endpoint (primary output or flip-flop data input);
-    /// `NEG_INFINITY` for non-endpoints.
-    pub fn endpoint_arrival(&self, cell: CellId) -> f64 {
-        self.endpoint_arr[cell.index()]
     }
 
     /// The interconnect delay of a net to each sink, as used in this

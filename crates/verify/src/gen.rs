@@ -2,18 +2,15 @@
 //! channel width, segmentation profile, vertical resources) paired with a
 //! random netlist sized to fit it.
 //!
-//! Everything is deterministic in one `u64` seed, and the architecture is
-//! recorded as plain [`ArchParams`] so a failing case can be rebuilt
-//! bit-identically from a repro file.
+//! Everything is deterministic in one `u64` seed. A repro saves the fabric
+//! as an architecture file (`rowfpga_arch::write_architecture`), which
+//! rebuilds it exactly.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rowfpga_arch::{
-    Architecture, BuildArchitectureError, DelayParams, SegmentationScheme, VerticalScheme,
-};
+use rowfpga_arch::{Architecture, DelayParams, SegmentationScheme, VerticalScheme};
 use rowfpga_netlist::{generate, GenerateConfig, Netlist};
-use rowfpga_obs::json::Json;
 
 /// Bounds on the random netlists a fuzz run draws.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,230 +31,12 @@ impl Default for CaseConfig {
     }
 }
 
-/// The plain-data recipe for one fuzzed architecture. Unlike an
-/// [`Architecture`] value this is serializable, so repro files can rebuild
-/// the exact fabric a failure was found on.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ArchParams {
-    /// Logic rows.
-    pub rows: usize,
-    /// Columns (including IO columns on each side).
-    pub cols: usize,
-    /// IO columns per side.
-    pub io_columns: usize,
-    /// Horizontal tracks per channel.
-    pub tracks_per_channel: usize,
-    /// Horizontal segmentation profile.
-    pub segmentation: SegmentationScheme,
-    /// Vertical (feedthrough) resources.
-    pub verticals: VerticalScheme,
-}
-
-impl ArchParams {
-    /// Builds the architecture this recipe describes. Delay parameters are
-    /// always the defaults — they shape delays, not structure, and the
-    /// oracles only compare the engine against itself.
-    ///
-    /// # Errors
-    ///
-    /// Returns the builder's validation error if the recipe is degenerate
-    /// (possible only for hand-edited repro files).
-    pub fn build(&self) -> Result<Architecture, BuildArchitectureError> {
-        Architecture::builder()
-            .rows(self.rows)
-            .cols(self.cols)
-            .io_columns(self.io_columns)
-            .tracks_per_channel(self.tracks_per_channel)
-            .segmentation(self.segmentation.clone())
-            .verticals(self.verticals)
-            .delay(DelayParams::default())
-            .build()
-    }
-
-    /// Records the parameters of an existing architecture.
-    pub fn of(arch: &Architecture) -> ArchParams {
-        let geom = arch.geometry();
-        ArchParams {
-            rows: geom.num_rows(),
-            cols: geom.num_cols(),
-            io_columns: geom.io_columns(),
-            tracks_per_channel: arch.tracks_per_channel(),
-            segmentation: arch.segmentation().clone(),
-            verticals: arch.vertical_scheme(),
-        }
-    }
-
-    /// Serializes the recipe for a repro file.
-    pub fn to_json(&self) -> Json {
-        let seg = match &self.segmentation {
-            SegmentationScheme::FullLength => Json::obj(vec![("kind", jstr("full_length"))]),
-            SegmentationScheme::Uniform { len } => Json::obj(vec![
-                ("kind", jstr("uniform")),
-                ("len", Json::Num(*len as f64)),
-            ]),
-            SegmentationScheme::Mixed { lengths } => Json::obj(vec![
-                ("kind", jstr("mixed")),
-                (
-                    "lengths",
-                    Json::Arr(lengths.iter().map(|&l| Json::Num(l as f64)).collect()),
-                ),
-            ]),
-            SegmentationScheme::ActelLike { seed } => Json::obj(vec![
-                ("kind", jstr("actel_like")),
-                // As a decimal string: u64 seeds do not fit in an f64.
-                ("seed", jstr(&seed.to_string())),
-            ]),
-            SegmentationScheme::Explicit { tracks } => Json::obj(vec![
-                ("kind", jstr("explicit")),
-                (
-                    "tracks",
-                    Json::Arr(
-                        tracks
-                            .iter()
-                            .map(|t| Json::Arr(t.iter().map(|&b| Json::Num(b as f64)).collect()))
-                            .collect(),
-                    ),
-                ),
-            ]),
-        };
-        let (vkind, vtracks, vspan) = match self.verticals {
-            VerticalScheme::Uniform {
-                tracks_per_column,
-                span,
-            } => ("uniform", tracks_per_column, span),
-            VerticalScheme::WithLongLines {
-                tracks_per_column,
-                span,
-            } => ("with_long_lines", tracks_per_column, span),
-        };
-        Json::obj(vec![
-            ("rows", Json::Num(self.rows as f64)),
-            ("cols", Json::Num(self.cols as f64)),
-            ("io_columns", Json::Num(self.io_columns as f64)),
-            (
-                "tracks_per_channel",
-                Json::Num(self.tracks_per_channel as f64),
-            ),
-            ("segmentation", seg),
-            (
-                "verticals",
-                Json::obj(vec![
-                    ("kind", jstr(vkind)),
-                    ("tracks_per_column", Json::Num(vtracks as f64)),
-                    ("span", Json::Num(vspan as f64)),
-                ]),
-            ),
-        ])
-    }
-
-    /// Parses a recipe back from a repro file.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing or malformed field.
-    pub fn from_json(j: &Json) -> Result<ArchParams, String> {
-        let num = |key: &str| -> Result<usize, String> {
-            j.get(key)
-                .and_then(Json::as_u64)
-                .map(|v| v as usize)
-                .ok_or_else(|| format!("arch: missing or non-numeric '{key}'"))
-        };
-        let seg_j = j.get("segmentation").ok_or("arch: missing segmentation")?;
-        let seg_kind = seg_j
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("arch: segmentation missing kind")?;
-        let segmentation = match seg_kind {
-            "full_length" => SegmentationScheme::FullLength,
-            "uniform" => SegmentationScheme::Uniform {
-                len: seg_j
-                    .get("len")
-                    .and_then(Json::as_u64)
-                    .ok_or("arch: uniform segmentation missing len")? as usize,
-            },
-            "mixed" => SegmentationScheme::Mixed {
-                lengths: seg_j
-                    .get("lengths")
-                    .and_then(Json::as_arr)
-                    .ok_or("arch: mixed segmentation missing lengths")?
-                    .iter()
-                    .map(|l| l.as_u64().map(|v| v as usize))
-                    .collect::<Option<Vec<_>>>()
-                    .ok_or("arch: non-numeric mixed length")?,
-            },
-            "actel_like" => SegmentationScheme::ActelLike {
-                seed: seg_j
-                    .get("seed")
-                    .and_then(Json::as_str)
-                    .and_then(|s| s.parse::<u64>().ok())
-                    .ok_or("arch: actel_like segmentation missing seed")?,
-            },
-            "explicit" => SegmentationScheme::Explicit {
-                tracks: seg_j
-                    .get("tracks")
-                    .and_then(Json::as_arr)
-                    .ok_or("arch: explicit segmentation missing tracks")?
-                    .iter()
-                    .map(|t| {
-                        t.as_arr().and_then(|breaks| {
-                            breaks
-                                .iter()
-                                .map(|b| b.as_u64().map(|v| v as usize))
-                                .collect::<Option<Vec<_>>>()
-                        })
-                    })
-                    .collect::<Option<Vec<_>>>()
-                    .ok_or("arch: malformed explicit tracks")?,
-            },
-            other => return Err(format!("arch: unknown segmentation kind '{other}'")),
-        };
-        let vert_j = j.get("verticals").ok_or("arch: missing verticals")?;
-        let vkind = vert_j
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("arch: verticals missing kind")?;
-        let vtracks = vert_j
-            .get("tracks_per_column")
-            .and_then(Json::as_u64)
-            .ok_or("arch: verticals missing tracks_per_column")? as usize;
-        let vspan = vert_j
-            .get("span")
-            .and_then(Json::as_u64)
-            .ok_or("arch: verticals missing span")? as usize;
-        let verticals = match vkind {
-            "uniform" => VerticalScheme::Uniform {
-                tracks_per_column: vtracks,
-                span: vspan,
-            },
-            "with_long_lines" => VerticalScheme::WithLongLines {
-                tracks_per_column: vtracks,
-                span: vspan,
-            },
-            other => return Err(format!("arch: unknown vertical kind '{other}'")),
-        };
-        Ok(ArchParams {
-            rows: num("rows")?,
-            cols: num("cols")?,
-            io_columns: num("io_columns")?,
-            tracks_per_channel: num("tracks_per_channel")?,
-            segmentation,
-            verticals,
-        })
-    }
-}
-
-fn jstr(s: &str) -> Json {
-    Json::Str(s.to_string())
-}
-
 /// One generated fuzz case: a fabric, a netlist that fits it, and the
-/// recipes both were built from.
+/// recipe the netlist was generated from.
 #[derive(Clone, Debug)]
 pub struct FuzzCase {
     /// The seed this case was derived from.
     pub seed: u64,
-    /// The fabric recipe (serializable for repros).
-    pub params: ArchParams,
     /// The netlist recipe.
     pub gen: GenerateConfig,
     /// The built fabric.
@@ -329,11 +108,8 @@ pub fn random_case(seed: u64, cfg: &CaseConfig) -> FuzzCase {
     };
     let arch = rowfpga_core::size_architecture(&netlist, &sizing)
         .expect("sized architecture is always buildable");
-    let params = ArchParams::of(&arch);
-    debug_assert_eq!(params.build().unwrap().stats(), arch.stats());
     FuzzCase {
         seed,
-        params,
         gen: gen_cfg,
         arch,
         netlist,
@@ -347,25 +123,14 @@ mod tests {
     #[test]
     fn cases_are_deterministic_in_the_seed() {
         let cfg = CaseConfig::default();
+        let fabric = |case: &FuzzCase| rowfpga_arch::write_architecture(&case.arch);
         let a = random_case(7, &cfg);
         let b = random_case(7, &cfg);
-        assert_eq!(a.params, b.params);
+        assert_eq!(fabric(&a), fabric(&b));
         assert_eq!(a.gen, b.gen);
         assert_eq!(a.netlist.num_cells(), b.netlist.num_cells());
         let c = random_case(8, &cfg);
-        assert!(a.params != c.params || a.gen != c.gen);
-    }
-
-    #[test]
-    fn arch_params_round_trip_through_json() {
-        for seed in 0..20 {
-            let case = random_case(seed, &CaseConfig::default());
-            let j = case.params.to_json();
-            let text = j.to_string_pretty();
-            let back = ArchParams::from_json(&rowfpga_obs::json::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, case.params, "seed {seed}");
-            assert_eq!(back.build().unwrap().stats(), case.arch.stats());
-        }
+        assert!(fabric(&a) != fabric(&c) || a.gen != c.gen);
     }
 
     #[test]

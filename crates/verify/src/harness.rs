@@ -48,7 +48,8 @@ pub struct FuzzConfig {
     pub iters: Option<u64>,
     /// Stop after this wall-clock budget, checked between iterations.
     pub seconds: Option<u64>,
-    /// Directory receiving shrunk `.net` + `.repro.json` pairs.
+    /// Directory receiving shrunk repros (`.arch`, `.net` and
+    /// `.repro.json` files).
     pub corpus: Option<PathBuf>,
     /// Netlist size range for generated cases.
     pub cells: CaseConfig,
@@ -79,7 +80,7 @@ pub struct FuzzFailure {
     pub original_len: usize,
     /// The 1-minimal script.
     pub shrunk: MoveScript,
-    /// Where the repro pair was written, when a corpus dir was given.
+    /// Where the repro sidecar was written, when a corpus dir was given.
     pub repro_path: Option<PathBuf>,
 }
 
@@ -200,14 +201,14 @@ fn shrink_and_save(
     let repro_path = corpus.and_then(|dir| {
         let stem = format!("repro-{seed:016x}");
         let repro = Repro {
-            arch: case.params.clone(),
+            arch_file: format!("{stem}.arch"),
             netlist_file: format!("{stem}.net"),
             placement_seed: seed,
             script: shrunk.clone(),
             failure: failure.to_string(),
             original_len: ops.len(),
         };
-        match repro.save(dir, &stem, &case.netlist) {
+        match repro.save(dir, &stem, &case.arch, &case.netlist) {
             Ok(path) => {
                 log(&format!("  wrote {}", path.display()));
                 Some(path)
@@ -310,7 +311,7 @@ pub fn run_fuzz(cfg: &FuzzConfig, mut log: impl FnMut(&str)) -> FuzzReport {
     report
 }
 
-/// Loads a repro pair from disk and re-runs the oracle suite over it.
+/// Loads a repro from disk and re-runs the oracle suite over it.
 /// Returns the reproduced failure description, or `None` when the repro no
 /// longer fails (i.e. the bug is fixed).
 ///
@@ -318,11 +319,7 @@ pub fn run_fuzz(cfg: &FuzzConfig, mut log: impl FnMut(&str)) -> FuzzReport {
 ///
 /// Returns a description when the repro files cannot be read or decoded.
 pub fn replay_repro(path: &std::path::Path) -> Result<Option<String>, String> {
-    let (repro, netlist) = Repro::load(path)?;
-    let arch = repro
-        .arch
-        .build()
-        .map_err(|e| format!("repro architecture does not build: {e}"))?;
+    let (repro, arch, netlist) = Repro::load(path)?;
     Ok(check_script(
         &arch,
         &netlist,
@@ -539,7 +536,7 @@ mod tests {
         );
         let script = random_script(&case, 8, 10);
         let repro = Repro {
-            arch: case.params.clone(),
+            arch_file: "clean.arch".into(),
             netlist_file: "clean.net".into(),
             placement_seed: 7,
             script,
@@ -547,7 +544,9 @@ mod tests {
             original_len: 10,
         };
         let dir = std::env::temp_dir().join(format!("rowfpga-replay-test-{}", std::process::id()));
-        let path = repro.save(&dir, "clean", &case.netlist).unwrap();
+        let path = repro
+            .save(&dir, "clean", &case.arch, &case.netlist)
+            .unwrap();
         assert_eq!(replay_repro(&path).unwrap(), None);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -18,8 +18,8 @@
 //!   tolerance), apply-then-undo identity, checkpoint round trips,
 //!   checkpoint crash windows and K-replica determinism;
 //! * [`shrink`] reduces failing scripts to 1-minimal repros with ddmin;
-//! * [`repro`] persists a failure as a `.net` + JSON pair that replays
-//!   deterministically;
+//! * [`repro`] persists a failure as `.arch`, `.net` and JSON sidecar
+//!   files that replay deterministically;
 //! * [`harness`] ties it all together into the fuzzing campaign behind
 //!   `rowfpga fuzz`, including (under the `fault-inject` feature) the
 //!   planted-fault self-test proving the oracles catch every corruption
@@ -36,7 +36,7 @@ pub mod repro;
 pub mod script;
 pub mod shrink;
 
-pub use gen::{random_case, ArchParams, CaseConfig, FuzzCase};
+pub use gen::{random_case, CaseConfig, FuzzCase};
 pub use harness::{check_script, replay_repro, run_fuzz, FuzzConfig, FuzzFailure, FuzzReport};
 #[cfg(feature = "fault-inject")]
 pub use harness::{run_fuzz_with_faults, FaultReport, FaultTrial};

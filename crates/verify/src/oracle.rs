@@ -25,7 +25,7 @@ use rowfpga_core::{
     CHECKPOINT_VERSION,
 };
 use rowfpga_netlist::Netlist;
-use rowfpga_place::{Move, MoveWeights, Placement};
+use rowfpga_place::{Move, MoveWeights};
 use rowfpga_route::{NetRouteSnapshot, RouterConfig, RoutingState};
 use rowfpga_timing::TimingState;
 
@@ -115,28 +115,6 @@ impl StateDigest {
                 .iter()
                 .map(|a| a.to_bits())
                 .collect(),
-        }
-    }
-
-    /// Captures the digest of a finished layout (placement + routing +
-    /// a from-scratch timing analysis), for comparing engine runs.
-    pub fn of_layout(
-        arch: &Architecture,
-        netlist: &Netlist,
-        placement: &Placement,
-        routing: &RoutingState,
-    ) -> StateDigest {
-        let timing = TimingState::new(arch, netlist, placement, routing)
-            .expect("a produced layout is always levelizable");
-        StateDigest {
-            sites: placement.export_sites(),
-            pinmaps: placement.export_pinmaps(),
-            routes: routing.export_routes(),
-            occupancy: routing.occupancy_digest(),
-            globally_unrouted: routing.globally_unrouted(),
-            incomplete: routing.incomplete(),
-            worst_bits: timing.worst().to_bits(),
-            arrival_bits: timing.arrivals().iter().map(|a| a.to_bits()).collect(),
         }
     }
 

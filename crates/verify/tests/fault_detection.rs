@@ -53,7 +53,7 @@ fn every_injected_fault_is_detected_and_shrinks() {
 fn shrunk_fault_repros_replay_from_disk() {
     let dir = std::env::temp_dir().join(format!("rowfpga-fault-repro-{}", std::process::id()));
     let report = run_fuzz_with_faults(&fault_config(Some(dir.clone())), |_| {});
-    // Each state-fault trial wrote a shrunk repro pair; loading and
+    // Each state-fault trial wrote a shrunk repro; loading and
     // replaying any of them must reproduce a failure.
     let mut replayed = 0;
     for entry in std::fs::read_dir(&dir).unwrap() {
@@ -72,7 +72,7 @@ fn shrunk_fault_repros_replay_from_disk() {
     assert_eq!(
         replayed,
         report.trials.iter().filter(|t| t.original_len > 0).count(),
-        "one repro pair per script-carrying trial"
+        "one repro per script-carrying trial"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -122,7 +122,7 @@ fn repros_with_fault_ops_round_trip_through_json() {
         ],
     };
     let repro = Repro {
-        arch: case.params.clone(),
+        arch_file: "f.arch".into(),
         netlist_file: "f.net".into(),
         placement_seed: 5,
         script: script.clone(),

@@ -84,6 +84,20 @@ if want test; then
   test -s "$obs_dir/run.folded" \
     || { echo "FAIL: analyze wrote no folded-stack profile"; exit 1; }
   rm -rf "$obs_dir"
+
+  echo "== parse-error smoke (a flag of another subcommand exits 2 before any file is read)"
+  parse_err="$(mktemp)"
+  for args in "layout x.net --start 3" "bench cse --blif"; do
+    status=0
+    # shellcheck disable=SC2086 # split the invocation into its arguments
+    run_cli $args > /dev/null 2> "$parse_err" || status=$?
+    if [ "$status" -ne 2 ] || ! grep -q "unknown flag" "$parse_err"; then
+      echo "FAIL: \`rowfpga $args\` exited $status, want 2 with \"unknown flag\":"
+      cat "$parse_err"
+      exit 1
+    fi
+  done
+  rm -f "$parse_err"
 fi
 
 smoke_dir=""
