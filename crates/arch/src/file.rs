@@ -1,3 +1,4 @@
+// rowfpga-lint: no-panic
 //! Text format for architecture descriptions.
 //!
 //! A minimal line-oriented format so fabrics can be versioned and shared:
@@ -93,7 +94,9 @@ pub fn parse_architecture(text: &str) -> Result<Architecture, ParseArchitectureE
             continue;
         }
         let mut f = line.split_whitespace();
-        let directive = f.next().expect("non-empty line has a first token");
+        let Some(directive) = f.next() else {
+            continue;
+        };
         match directive {
             "rows" => builder = builder.rows(num(line_no, "rows", f.next())?),
             "cols" => builder = builder.cols(num(line_no, "cols", f.next())?),

@@ -95,7 +95,6 @@ id_type!(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
     fn round_trips_raw_index() {
@@ -112,11 +111,16 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "tests the `Hash` derive, which only a hash collection uses"
+    )]
     fn ids_are_ordered_and_hashable() {
         assert!(TrackId::new(1) < TrackId::new(2));
-        let set: HashSet<SiteId> = [SiteId::new(1), SiteId::new(1), SiteId::new(2)]
-            .into_iter()
-            .collect();
+        let set: std::collections::HashSet<SiteId> =
+            [SiteId::new(1), SiteId::new(1), SiteId::new(2)]
+                .into_iter()
+                .collect();
         assert_eq!(set.len(), 2);
     }
 

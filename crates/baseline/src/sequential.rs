@@ -109,6 +109,10 @@ impl SequentialPlaceRoute {
     ///
     /// Returns [`LayoutError`] if the design does not fit the chip or has a
     /// combinational loop.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock is run telemetry only and never steers the search"
+    )]
     pub fn run_observed(
         &self,
         arch: &Architecture,
@@ -116,7 +120,6 @@ impl SequentialPlaceRoute {
         label: &str,
         obs: &Obs,
     ) -> Result<LayoutResult, LayoutError> {
-        // rowfpga-lint: allow(determinism) reason=wall-clock is run telemetry only and never steers the search
         let start = Instant::now();
         obs.emit(Event::RunStart {
             flow: "sequential".into(),

@@ -30,6 +30,11 @@
 //! annealing profiles match (`--quick` vs full), so pointing the quick
 //! smoke at a full-run artifact skips the gate instead of flagging noise.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a benchmark times wall-clock runs by nature"
+)]
+
 use std::time::Instant;
 
 use rowfpga_core::{size_architecture, SimPrConfig, SimultaneousPlaceRoute, SizingConfig};

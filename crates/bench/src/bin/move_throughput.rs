@@ -17,6 +17,11 @@
 //! A PATH that does not read, parse, or hold `current.moves_per_sec`
 //! exits 2 before anything runs, so the gate can never pass unchecked.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a benchmark times wall-clock runs by nature"
+)]
+
 use std::time::Instant;
 
 use rand::rngs::StdRng;

@@ -16,6 +16,11 @@
 //!
 //! Usage: `serve [--quick] [--jobs N] [--workers N] [--out PATH]`
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a benchmark times wall-clock turnaround by nature"
+)]
+
 #[cfg(unix)]
 mod run {
     use std::path::PathBuf;

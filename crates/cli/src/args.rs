@@ -473,16 +473,16 @@ FUZZING:
 LINTING:
   rowfpga lint runs the workspace's domain lints (see DESIGN.md \u{a7}11
   and \u{a7}14): allocation-freedom in `rowfpga-lint: hot-path` modules,
-  HashMap/clock bans in the deterministic solver crates, the per-crate
-  panic budget ratchet against lint-budget.toml, feature-gating of
-  fault hooks, `#![forbid(unsafe_code)]` in every lib crate, and the
-  interprocedural analyses (determinism taint, panic reachability,
-  durability ordering, lock discipline) over the workspace call graph.
-  `--json` writes the CI artifact report to stdout; `--fix-budget`
-  re-records the panics / taint / reachability budgets (downward only);
-  `--explain LINT` prints the rationale for one lint family (e.g.
-  `--explain taint`) and exits. Exit status is non-zero when any
-  violation is found.
+  the per-crate panic budget ratchet against lint-budget.toml,
+  feature-gating of fault hooks, `#![forbid(unsafe_code)]` in every lib
+  crate, and the interprocedural analyses (determinism taint, panic
+  reachability, durability ordering, lock discipline) over the
+  workspace call graph. The direct HashMap/clock bans are clippy's,
+  through clippy.toml. `--json` writes the CI artifact report to
+  stdout; `--fix-budget` re-records the panics / reachability budgets
+  (downward only); `--explain LINT` prints the rationale for one lint
+  family (e.g. `--explain taint`) and exits. Exit status is non-zero
+  when any violation is found.
 ";
 
 fn bad_value(flag: &str, value: &str, expected: &str) -> ArgError {

@@ -15,7 +15,6 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::time::Duration;
-// rowfpga-lint: begin-allow(determinism) reason=tail measures wall-clock pacing for the ETA display only; nothing feeds back into any solver
 use std::time::Instant;
 
 use rowfpga_obs::{LiveStatus, SOCKET_SPEC_PREFIX};
@@ -35,6 +34,10 @@ struct TempClock {
 }
 
 impl TempClock {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "tail measures wall-clock pacing for the ETA display only; nothing feeds back into any solver"
+    )]
     fn new() -> TempClock {
         TempClock {
             started: Instant::now(),
@@ -59,7 +62,6 @@ impl TempClock {
         }
     }
 }
-// rowfpga-lint: end-allow(determinism)
 
 /// Entry point for `rowfpga tail`.
 ///

@@ -409,6 +409,10 @@ impl SimultaneousPlaceRoute {
     /// contains a combinational loop, a configured resume checkpoint does
     /// not load or match this design, seeds and replica count, or the
     /// self-audit finds an unrepairable divergence.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock is deadline/telemetry only and never steers the search"
+    )]
     pub fn run_with_stop(
         &self,
         arch: &Architecture,

@@ -11,6 +11,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the benchmark shim is a wall-clock timer"
+)]
 
 use std::time::{Duration, Instant};
 

@@ -1,18 +1,20 @@
 //! The discipline ratchets: `lint-budget.toml`.
 //!
-//! The budget records three per-crate counts:
+//! The budget records two per-crate counts:
 //!
 //! * `[panics]` — non-test panic sites (`.unwrap()`, `.expect(`,
 //!   `panic!`, `unreachable!`) in library code;
-//! * `[taint]` — transitive determinism leaks into solver/digest code
-//!   found by the call-graph taint analysis;
 //! * `[reachability]` — panic sites (including slice indexing) reachable
 //!   through any call path from hot-path / no-panic entry functions.
 //!
-//! Every table is strict in both directions:
+//! Determinism taint is not budgeted: every leak is a violation of its
+//! own. A `[taint]` table left in an old file is ignored, and
+//! `--fix-budget` drops it.
+//!
+//! Both tables are strict in both directions:
 //!
 //! * a count **above** budget fails — new code must use typed errors (or
-//!   thread values in explicitly, or restore the call-path guarantee);
+//!   restore the call-path guarantee);
 //! * a count **below** budget also fails, telling you to run
 //!   `rowfpga lint --fix-budget` — so improvements get locked in and the
 //!   committed file never drifts from reality (a stale, slack budget
@@ -28,27 +30,15 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// The three budget tables, in file order.
-const TABLES: &[&str] = &["panics", "taint", "reachability"];
+/// The two budget tables, in file order.
+const TABLES: &[&str] = &["panics", "reachability"];
 
-/// Parsed budget: per table, crate name → permitted count.
+/// Per-table counts, crate name → sites: the committed ceilings of
+/// `lint-budget.toml`, or the counts one run observed.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Budget {
-    /// Per-crate panic-site ceilings.
-    pub panics: BTreeMap<String, usize>,
-    /// Per-crate transitive determinism-leak ceilings.
-    pub taint: BTreeMap<String, usize>,
-    /// Per-crate reachable-panic-site ceilings.
-    pub reachability: BTreeMap<String, usize>,
-}
-
-/// Observed counts, mirroring the [`Budget`] tables.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Observed {
     /// Non-test panic sites per crate.
     pub panics: BTreeMap<String, usize>,
-    /// Transitive determinism leaks per sink crate.
-    pub taint: BTreeMap<String, usize>,
     /// Reachable panic sites per entry crate.
     pub reachability: BTreeMap<String, usize>,
 }
@@ -101,7 +91,6 @@ impl std::error::Error for BudgetError {}
 impl Budget {
     fn table(&self, name: &str) -> &BTreeMap<String, usize> {
         match name {
-            "taint" => &self.taint,
             "reachability" => &self.reachability,
             _ => &self.panics,
         }
@@ -109,7 +98,6 @@ impl Budget {
 
     fn table_mut(&mut self, name: &str) -> &mut BTreeMap<String, usize> {
         match name {
-            "taint" => &mut self.taint,
             "reachability" => &mut self.reachability,
             _ => &mut self.panics,
         }
@@ -160,9 +148,8 @@ impl Budget {
             "# rowfpga-lint discipline budgets (see DESIGN.md \u{a7}11 and \u{a7}14).\n\
              #\n\
              # [panics]: non-test panic sites (.unwrap/.expect/panic!/unreachable!)\n\
-             # per crate. [taint]: transitive determinism leaks into solver/digest\n\
-             # code. [reachability]: panic sites (incl. slice indexing) reachable\n\
-             # from hot-path / no-panic entry functions, per entry crate.\n\
+             # per crate. [reachability]: panic sites (incl. slice indexing)\n\
+             # reachable from hot-path / no-panic entry functions, per entry crate.\n\
              #\n\
              # Counts may only shrink: `rowfpga lint` fails when a crate exceeds its\n\
              # budget AND when it beats it (run `rowfpga lint --fix-budget` to lock\n\
@@ -180,7 +167,7 @@ impl Budget {
     /// Compares observed counts against the budget; returns one message
     /// per discrepancy (exceeded, improved-but-not-ratcheted, missing
     /// entry, stale entry).
-    pub fn check(&self, observed: &Observed) -> Vec<String> {
+    pub fn check(&self, observed: &Budget) -> Vec<String> {
         let mut problems = Vec::new();
         for table in TABLES {
             check_table(
@@ -200,7 +187,7 @@ impl Budget {
     ///
     /// Returns [`BudgetError::RatchetUp`] if any crate's observed count
     /// exceeds its committed ceiling.
-    pub fn ratcheted(&self, observed: &Observed) -> Result<Budget, BudgetError> {
+    pub fn ratcheted(&self, observed: &Budget) -> Result<Budget, BudgetError> {
         let mut next = Budget::default();
         for table in TABLES {
             for (krate, &count) in observed.table(table) {
@@ -221,20 +208,9 @@ impl Budget {
     }
 }
 
-impl Observed {
-    fn table(&self, name: &str) -> &BTreeMap<String, usize> {
-        match name {
-            "taint" => &self.taint,
-            "reachability" => &self.reachability,
-            _ => &self.panics,
-        }
-    }
-}
-
 /// The fix hint per table, used in check messages.
 fn fix_hint(table: &str) -> &'static str {
     match table {
-        "taint" => "thread the value in explicitly or add a reasoned allow(taint)",
         "reachability" => "convert the reachable panic sites to typed errors or let-else",
         _ => "convert the new unwrap/expect/panic sites to typed errors",
     }
@@ -282,18 +258,17 @@ mod tests {
         pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
     }
 
-    fn observed(panics: &[(&str, usize)]) -> Observed {
-        Observed {
+    fn observed(panics: &[(&str, usize)]) -> Budget {
+        Budget {
             panics: counts(panics),
-            ..Observed::default()
+            ..Budget::default()
         }
     }
 
     #[test]
-    fn round_trips_all_three_tables() {
+    fn round_trips_both_tables() {
         let b = Budget {
             panics: counts(&[("rowfpga-route", 3), ("rowfpga-core", 10)]),
-            taint: counts(&[("rowfpga-core", 0)]),
             reachability: counts(&[("rowfpga-route", 41)]),
         };
         let parsed = Budget::parse(&b.render()).unwrap();
@@ -304,7 +279,15 @@ mod tests {
     fn parses_the_legacy_single_table_file() {
         let b = Budget::parse("[panics]\nrowfpga-route = 3\n").unwrap();
         assert_eq!(b.panics, counts(&[("rowfpga-route", 3)]));
-        assert!(b.taint.is_empty() && b.reachability.is_empty());
+        assert!(b.reachability.is_empty());
+    }
+
+    #[test]
+    fn a_stale_taint_table_is_ignored_and_dropped() {
+        let b = Budget::parse("[panics]\na = 1\n[taint]\na = 4\n[reachability]\na = 2\n").unwrap();
+        assert_eq!(b.panics, counts(&[("a", 1)]));
+        assert_eq!(b.reachability, counts(&[("a", 2)]));
+        assert!(!b.render().contains("taint"));
     }
 
     #[test]
@@ -328,17 +311,15 @@ mod tests {
     fn tables_are_checked_independently() {
         let b = Budget {
             panics: counts(&[("a", 5)]),
-            taint: counts(&[("a", 0)]),
             reachability: counts(&[("a", 7)]),
         };
-        let ob = Observed {
+        let ob = Budget {
             panics: counts(&[("a", 5)]),
-            taint: counts(&[("a", 1)]),
-            reachability: counts(&[("a", 7)]),
+            reachability: counts(&[("a", 8)]),
         };
         let problems = b.check(&ob);
         assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(problems[0].starts_with("[taint] a: 1 sites exceed"));
+        assert!(problems[0].starts_with("[reachability] a: 8 sites exceed"));
     }
 
     #[test]
@@ -374,9 +355,9 @@ mod tests {
             reachability: counts(&[("a", 3)]),
             ..Budget::default()
         };
-        let ob = Observed {
+        let ob = Budget {
             reachability: counts(&[("a", 4)]),
-            ..Observed::default()
+            ..Budget::default()
         };
         match b.ratcheted(&ob) {
             Err(BudgetError::RatchetUp { table, .. }) => assert_eq!(table, "reachability"),

@@ -5,11 +5,12 @@
 //! Resolution is name-based and deliberately over-approximate where the
 //! tokens underdetermine the callee (method calls resolve to every
 //! workspace impl bearing the name, minus a deny-list of std-shadowing
-//! names that would connect everything to everything). An over-approximate
-//! edge can only create a false *finding*, which a reasoned allow region
-//! answers; a missed edge is a soundness gap, so the resolver prefers
-//! linking too much over too little. See DESIGN.md §14 for the exact
-//! rules.
+//! names that would connect everything to everything; `self.m(…)`
+//! resolves to the caller's own impl when that defines `m`). An
+//! over-approximate edge can only create a false *finding*, which a
+//! reasoned allow region answers; a missed edge is a soundness gap, so
+//! the resolver prefers linking too much over too little. See DESIGN.md
+//! §14 for the exact rules.
 
 use std::collections::BTreeMap;
 
@@ -227,6 +228,15 @@ fn resolve(
             .copied()
             .filter(|&c| g.fns[c].def.impl_type.is_some())
             .collect();
+        // `self.m(…)` is the caller's own method whenever its impl
+        // defines one.
+        let own = |&c: &usize| {
+            g.fns[c].krate == caller_info.krate
+                && g.fns[c].def.impl_type == caller_info.def.impl_type
+        };
+        if call.self_receiver && impls.iter().any(own) {
+            return impls.into_iter().filter(own).collect();
+        }
         if COMMON_METHODS.contains(&name) {
             // Same-crate only: across crates these names mean std types.
             return impls
@@ -524,6 +534,31 @@ mod tests {
         assert_eq!(chain.len(), 3, "{chain:?}");
         assert!(chain[0].starts_with("app::a"));
         assert!(chain[2].starts_with("app::c"));
+    }
+
+    #[test]
+    fn self_receiver_calls_stay_on_the_callers_impl() {
+        let g = graph_of(&[
+            (
+                "rowfpga-core",
+                "crates/core/src/lib.rs",
+                "impl S { fn a(&self) { self.run(); } fn run(&self) {} }",
+            ),
+            (
+                "rowfpga-baseline",
+                "crates/baseline/src/lib.rs",
+                "impl T { fn run(&self) {} }",
+            ),
+        ]);
+        let a = idx(&g, "a");
+        let edges: Vec<(&str, Option<&str>)> = g.edges[a]
+            .iter()
+            .map(|e| {
+                let callee = &g.fns[e.callee].def;
+                (callee.name.as_str(), callee.impl_type.as_deref())
+            })
+            .collect();
+        assert_eq!(edges, vec![("run", Some("S"))]);
     }
 
     #[test]

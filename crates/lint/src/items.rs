@@ -27,6 +27,8 @@ pub struct Call {
     pub path: Vec<String>,
     /// Whether this was a `.method(…)` call.
     pub method: bool,
+    /// Whether the method's receiver is `self` itself (`self.m(…)`).
+    pub self_receiver: bool,
     /// 1-based source line of the call name.
     pub line: u32,
     /// Token index of the call name (for intra-body ordering).
@@ -357,6 +359,7 @@ impl<'a> Parser<'a> {
             return i + 1;
         }
         let method = i > 0 && self.is_punct(i - 1, ".");
+        let self_receiver = method && i > 1 && self.text(i - 2) == "self";
         let mut path = vec![self.text(i).to_string()];
         if !method {
             // Walk back through `a::b::` chains.
@@ -375,6 +378,7 @@ impl<'a> Parser<'a> {
         self.out.fns[f].calls.push(Call {
             path,
             method,
+            self_receiver,
             line: self.lx.tokens[i].line,
             tok: i,
             empty_args,

@@ -7,9 +7,10 @@
 //!
 //! * hot-path modules stay allocation-free ([`lints`] — the PR 3 move
 //!   cascade speedup survives only if nobody reintroduces a `.clone()`);
-//! * solver crates stay deterministic (no `HashMap` iteration, no wall
-//!   clocks — bit-identical K-replica annealing is a correctness
-//!   property);
+//! * solver crates stay deterministic: no call path reaches a wall clock
+//!   or hash-order iteration ([`taint`] — bit-identical K-replica
+//!   annealing is a correctness property). Clippy bans the direct reads
+//!   through the workspace's `clippy.toml`; this engine follows the calls;
 //! * panic sites in library code only ever shrink ([`budget`]);
 //! * fault-injection hooks stay feature-gated;
 //! * every lib crate keeps `#![forbid(unsafe_code)]` (clippy's
@@ -19,9 +20,9 @@
 //! hand-rolled item parser ([`items`]) feeds a cross-crate call graph
 //! ([`callgraph`]), over which four interprocedural passes run —
 //! determinism taint and panic reachability ([`taint`]), durability
-//! ordering ([`typestate`]), and lock discipline ([`locks`]). Taint and
-//! reachability gate through the two-way budget ratchet; durability and
-//! locks report directly.
+//! ordering ([`typestate`]), and lock discipline ([`locks`]).
+//! Reachability gates through the two-way budget ratchet; taint,
+//! durability and locks report directly.
 //!
 //! Like the rand/proptest/criterion shims, the engine is dependency-free
 //! and offline-safe: its own lexer ([`lexer`]), no `syn`, no registry.
@@ -47,18 +48,18 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use budget::{Budget, BudgetError, Observed};
+use budget::{Budget, BudgetError};
 use callgraph::FileFns;
 use items::ParsedFile;
 use lexer::Lexed;
-use lints::{analyze_lexed, Allows, FileRules};
+use lints::{analyze_lexed, Allows};
 use model::WalkError;
 use regions::{gated_mask, Gate};
 use report::{LintReport, Violation};
 
-/// Crates whose code must never construct or iterate hash collections:
-/// everything that runs inside (or feeds state to) the anneal loop.
-/// These same crates are the *sink domain* of the taint analysis.
+/// The *sink domain* of the taint analysis: everything that runs inside
+/// (or feeds state to) the anneal loop, where no call path may reach a
+/// clock or hash-order iteration.
 const DETERMINISTIC_CRATES: &[&str] = &[
     "rowfpga-anneal",
     "rowfpga-core",
@@ -66,24 +67,6 @@ const DETERMINISTIC_CRATES: &[&str] = &[
     "rowfpga-place",
     "rowfpga-route",
     "rowfpga-timing",
-];
-
-/// Crates allowed to read wall clocks and OS entropy wholesale: the
-/// benchmark harness, the offline shims (the criterion shim *is* a
-/// timer), and the service daemon — deadlines, turnaround accounting and
-/// retry pacing are wall-clock phenomena by nature, and nothing the
-/// daemon measures feeds back into the solver (seeds and budgets cross
-/// that boundary as explicit job config). The observability layer and
-/// the CLI are deliberately NOT here — their few legitimate clock sites
-/// (span timing, tail ETA pacing) carry reasoned
-/// `begin-allow(determinism)` regions instead, so a stray clock in new
-/// obs/cli code still fails the lint.
-const WALL_CLOCK_CRATES: &[&str] = &[
-    "rowfpga-bench",
-    "rand",
-    "proptest",
-    "criterion",
-    "rowfpga-serve",
 ];
 
 /// How many detailed chain violations to surface per over-budget crate
@@ -159,16 +142,6 @@ impl From<BudgetError> for EngineError {
     }
 }
 
-/// The rules the engine applies to files of the named crate.
-pub fn rules_for(crate_name: &str) -> FileRules {
-    FileRules {
-        determinism_collections: DETERMINISTIC_CRATES.contains(&crate_name),
-        determinism_time: !WALL_CLOCK_CRATES.contains(&crate_name),
-        count_panics: true,
-        cfg_hygiene: true,
-    }
-}
-
 /// Every lint family `explain` can describe, for `--explain` help text.
 pub const EXPLAINABLE: &[&str] = &[
     "hot-path",
@@ -193,18 +166,21 @@ pub fn explain(lint: &str) -> Option<&'static str> {
              Constructors opt out with begin-allow(hot-path)/end-allow regions."
         }
         "determinism" => {
-            "Solver crates (anneal/core/netlist/place/route/timing) may not construct \
-             or iterate HashMap/HashSet (run-varying order breaks bit-identical \
-             K-replica annealing) nor read wall clocks or OS entropy (Instant::now, \
-             SystemTime, thread_rng). Thread time and randomness in from the caller."
+            "No crate may use HashMap/HashSet (run-varying order breaks bit-identical \
+             K-replica annealing) or read a clock (Instant::now, SystemTime::now). \
+             Clippy enforces both through the workspace's clippy.toml \
+             (disallowed-types, disallowed-methods); a deliberate clock read carries \
+             a reasoned #[expect(clippy::disallowed_methods, reason = …)] where it \
+             happens. Thread time and randomness in from the caller. The call-graph \
+             form of the rule is `taint`."
         }
         "taint" => {
             "The interprocedural form of `determinism`: a wall-clock read, entropy \
              source, or hash-order iteration anywhere in the workspace taints every \
              function that can reach it through the call graph. A finding fires at \
              the boundary — the solver/digest function whose call edge crosses into \
-             tainted territory — with the full chain to the source. Counts gate via \
-             the [taint] table in lint-budget.toml; bless deliberate sites with \
+             tainted territory — with the full chain to the source, and every \
+             finding is a violation. Bless deliberate sites with \
              `allow(taint) reason=…` at the call, or `allow(determinism)` at the \
              source if the source itself is benign."
         }
@@ -267,7 +243,6 @@ pub fn run_repo(root: &Path, opts: Options) -> Result<LintReport, EngineError> {
     let mut units: Vec<Unit> = Vec::new();
     let mut parsed: Vec<ParsedFile> = Vec::new();
     for krate in &ws.crates {
-        let rules = rules_for(&krate.name);
         let mut crate_panics = 0usize;
         for rel in &krate.src_files {
             let path = root.join(rel);
@@ -277,7 +252,7 @@ pub fn run_repo(root: &Path, opts: Options) -> Result<LintReport, EngineError> {
             })?;
             let label = rel.to_string_lossy().replace('\\', "/");
             let lx = lexer::lex(&src);
-            let analysis = analyze_lexed(&label, &src, &lx, rules);
+            let analysis = analyze_lexed(&label, &src, &lx);
             report.files += 1;
             if analysis.hot_path {
                 report.hot_path_files += 1;
@@ -330,18 +305,18 @@ pub fn run_repo(root: &Path, opts: Options) -> Result<LintReport, EngineError> {
         .collect();
     let graph = callgraph::build(&ffns);
 
-    let taint_result = taint::taint(&graph, &units, DETERMINISTIC_CRATES);
-    report.taint_counts = taint_result.counts.clone();
+    report
+        .violations
+        .extend(taint::taint(&graph, &units, DETERMINISTIC_CRATES));
     report.reach_counts = taint::reachability_counts(&graph, &units);
     report.violations.extend(typestate::check(&graph, &units));
     report.violations.extend(locks::check(&graph, &units));
 
     // Pass 3: the budget ratchet — compare against (or rewrite)
     // lint-budget.toml, then surface chain details for over-budget
-    // taint/reachability crates.
-    let observed = Observed {
+    // reachability crates.
+    let observed = Budget {
         panics: report.panic_counts.clone(),
-        taint: report.taint_counts.clone(),
         reachability: report.reach_counts.clone(),
     };
     let budget_path = root.join("lint-budget.toml");
@@ -376,49 +351,30 @@ pub fn run_repo(root: &Path, opts: Options) -> Result<LintReport, EngineError> {
         }),
         Some(b) => {
             for problem in b.check(&observed) {
-                let (lint, strip) = if problem.starts_with("[taint] ") {
-                    ("taint-budget", "[taint] ")
-                } else if problem.starts_with("[reachability] ") {
-                    ("reachability-budget", "[reachability] ")
-                } else {
-                    ("panic-budget", "[panics] ")
+                let (lint, message) = match problem.strip_prefix("[reachability] ") {
+                    Some(m) => ("reachability-budget", m),
+                    None => (
+                        "panic-budget",
+                        problem.strip_prefix("[panics] ").unwrap_or(&problem),
+                    ),
                 };
-                let message = problem
-                    .strip_prefix(strip)
-                    .map_or(problem.as_str(), |m| m)
-                    .to_string();
                 report.violations.push(Violation {
                     lint: lint.to_string(),
                     file: "lint-budget.toml".to_string(),
                     line: 0,
-                    message,
+                    message: message.to_string(),
                     chain: Vec::new(),
                 });
             }
         }
     }
-    // Chain details for crates over (or missing from) their taint /
-    // reachability ceilings, so the JSON and terminal output show *why*.
-    let ceiling = |table: &dyn Fn(&Budget) -> &std::collections::BTreeMap<String, usize>,
-                   krate: &str| {
-        committed
-            .as_ref()
-            .and_then(|b| table(b).get(krate).copied())
-    };
-    for (krate, &count) in &report.taint_counts {
-        if count > ceiling(&|b: &Budget| &b.taint, krate).unwrap_or(0) {
-            report.violations.extend(
-                taint_result
-                    .findings
-                    .iter()
-                    .filter(|f| &f.krate == krate)
-                    .take(DETAIL_LIMIT)
-                    .map(|f| f.violation.clone()),
-            );
-        }
-    }
+    // Chain details for crates over (or missing from) their reachability
+    // ceilings, so the JSON and terminal output show *why*.
     for (krate, &count) in &report.reach_counts {
-        if count > ceiling(&|b: &Budget| &b.reachability, krate).unwrap_or(0) {
+        let ceiling = committed
+            .as_ref()
+            .and_then(|b| b.reachability.get(krate).copied());
+        if count > ceiling.unwrap_or(0) {
             report.violations.extend(taint::reachability_details(
                 &graph,
                 &units,

@@ -7,11 +7,6 @@
 //!   must not allocate in steady state (`Vec::new`, `vec![`, `.clone()`,
 //!   `.collect()`, `.to_vec()`, `Box::new`, `format!`, `String::from`).
 //!   Constructors may opt out with a `begin-allow`/`end-allow` region.
-//! * **determinism** — core solver crates must not construct or iterate
-//!   `HashMap`/`HashSet` (iteration order varies run to run, which would
-//!   silently break bit-identical K-replica annealing), and must not read
-//!   wall clocks or OS entropy (`Instant::now`, `SystemTime`,
-//!   `thread_rng`).
 //! * **panic** — `.unwrap()` / `.expect(` / `panic!` / `unreachable!` in
 //!   non-test library code are counted per crate against the committed
 //!   ratchet in `lint-budget.toml`.
@@ -22,25 +17,13 @@
 //! Every lib crate must also keep `#![forbid(unsafe_code)]`, which the
 //! engine checks through [`FileAnalysis::has_forbid_unsafe`]. Clippy's
 //! `undocumented_unsafe_blocks` lint requires the `// SAFETY:` comment on
-//! the `unsafe` blocks elsewhere (the CLI binary's signal handler).
+//! the `unsafe` blocks elsewhere (the CLI binary's signal handler). The
+//! direct determinism bans (`HashMap`/`HashSet`, clock reads) are
+//! clippy's too, through the workspace's `clippy.toml`.
 
 use crate::lexer::{lex, Directive, Lexed, TokenKind};
 use crate::regions::{gated_mask, Gate};
 use crate::report::Violation;
-
-/// Which lint families apply to a file; decided per crate by the engine.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FileRules {
-    /// Deny `HashMap`/`HashSet` (solver crates).
-    pub determinism_collections: bool,
-    /// Deny `Instant::now`/`SystemTime`/`thread_rng` (everything outside
-    /// obs/cli/bench and the shims).
-    pub determinism_time: bool,
-    /// Count panic sites for the budget ratchet.
-    pub count_panics: bool,
-    /// Deny ungated fault hooks.
-    pub cfg_hygiene: bool,
-}
 
 /// Everything the engine learns from one file.
 #[derive(Clone, Debug, Default)]
@@ -89,21 +72,17 @@ impl Allows {
     }
 }
 
-/// Runs every applicable lint over one source file.
-pub fn analyze_source(file: &str, src: &str, rules: FileRules) -> FileAnalysis {
-    analyze_lexed(file, src, &lex(src), rules)
+/// Runs every per-file lint over one source file.
+pub fn analyze_source(file: &str, src: &str) -> FileAnalysis {
+    analyze_lexed(file, src, &lex(src))
 }
 
 /// [`analyze_source`] over an already-lexed file, so the engine can
 /// share one token stream between the per-file lints and the
 /// interprocedural passes.
-pub fn analyze_lexed(file: &str, src: &str, lx: &Lexed, rules: FileRules) -> FileAnalysis {
+pub fn analyze_lexed(file: &str, src: &str, lx: &Lexed) -> FileAnalysis {
     let test_mask = gated_mask(src, lx, Gate::Test);
-    let gate_mask = if rules.cfg_hygiene {
-        gated_mask(src, lx, Gate::FaultInject)
-    } else {
-        Vec::new()
-    };
+    let gate_mask = gated_mask(src, lx, Gate::FaultInject);
     let mut out = FileAnalysis {
         has_forbid_unsafe: has_forbid_unsafe(src, lx),
         ..FileAnalysis::default()
@@ -155,40 +134,11 @@ pub fn analyze_lexed(file: &str, src: &str, lx: &Lexed, rules: FileRules) -> Fil
             }
         }
 
-        if rules.determinism_collections && lx.tokens[i].kind == TokenKind::Ident {
-            let t = lx.text(src, i);
-            if t == "HashMap" || t == "HashSet" {
-                push(
-                    &mut violations,
-                    "determinism",
-                    line,
-                    format!(
-                        "`{t}` has run-varying iteration order, which breaks replica \
-                         determinism; use `BTreeMap`/`BTreeSet` or `route::FlatSet`"
-                    ),
-                );
-            }
-        }
-
-        if rules.determinism_time {
-            if let Some(what) = time_pattern(src, lx, i) {
-                push(
-                    &mut violations,
-                    "determinism",
-                    line,
-                    format!(
-                        "`{what}` reads wall-clock/OS entropy in a deterministic crate; \
-                         thread time in from the caller or move it to obs/cli/bench"
-                    ),
-                );
-            }
-        }
-
-        if rules.count_panics && panic_pattern(src, lx, i).is_some() {
+        if panic_pattern(src, lx, i).is_some() {
             out.panic_sites += 1;
         }
 
-        if rules.cfg_hygiene && !gate_mask[i] {
+        if !gate_mask[i] {
             if let Some(what) = injection_hook(src, lx, i) {
                 push(
                     &mut violations,
@@ -291,20 +241,9 @@ fn hot_path_pattern(src: &str, lx: &Lexed, i: usize) -> Option<&'static str> {
     None
 }
 
-/// Wall-clock / entropy patterns denied in deterministic crates.
-fn time_pattern(src: &str, lx: &Lexed, i: usize) -> Option<&'static str> {
-    if seq(src, lx, i, &["Instant", ":", ":", "now"]) {
-        return Some("Instant::now");
-    }
-    match tok(src, lx, i) {
-        Some(("SystemTime", TokenKind::Ident)) => Some("SystemTime"),
-        Some(("thread_rng", TokenKind::Ident)) => Some("thread_rng"),
-        _ => None,
-    }
-}
-
-/// Panic-site patterns counted by the budget ratchet.
-fn panic_pattern(src: &str, lx: &Lexed, i: usize) -> Option<&'static str> {
+/// Panic-site patterns counted by the budget ratchet (and, with slice
+/// indexing, by the reachability pass).
+pub(crate) fn panic_pattern(src: &str, lx: &Lexed, i: usize) -> Option<&'static str> {
     if seq(src, lx, i, &[".", "unwrap", "("]) {
         return Some(".unwrap()");
     }
@@ -350,15 +289,8 @@ fn has_forbid_unsafe(src: &str, lx: &Lexed) -> bool {
 mod tests {
     use super::*;
 
-    const ALL: FileRules = FileRules {
-        determinism_collections: true,
-        determinism_time: true,
-        count_panics: true,
-        cfg_hygiene: true,
-    };
-
     fn lints_of(src: &str) -> Vec<String> {
-        analyze_source("t.rs", src, ALL)
+        analyze_source("t.rs", src)
             .violations
             .iter()
             .map(|v| v.lint.clone())
@@ -396,28 +328,20 @@ fn new() -> S { S { v: Vec::new() } }
 // rowfpga-lint: end-allow(hot-path)
 fn step(s: &S) { let t = s.v.clone(); }
 ";
-        let v = analyze_source("t.rs", src, ALL).violations;
+        let v = analyze_source("t.rs", src).violations;
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 6);
     }
 
     #[test]
-    fn determinism_catches_collections_and_clocks() {
-        let src = "
-use std::collections::HashMap;
-fn f() { let t = Instant::now(); }
-";
-        assert_eq!(lints_of(src), vec!["determinism", "determinism"]);
-    }
-
-    #[test]
     fn single_line_allow_covers_trailing_and_next_line() {
         let src = "
-// rowfpga-lint: allow(determinism) reason=keys sorted before iteration
-use std::collections::HashMap;
-fn f() { let m: HashMap<u32, u32> = HashMap::new(); }
+// rowfpga-lint: hot-path
+// rowfpga-lint: allow(hot-path) reason=one-time setup
+fn f() -> Vec<u32> { Vec::new() }
+fn g() { let v: Vec<u32> = Vec::new(); let w = v.clone(); }
 ";
-        // Only the directive's own+next line is covered; line 4 still fires.
+        // Only the directive's own+next line is covered; line 5 still fires.
         assert_eq!(lints_of(src).len(), 2);
     }
 
@@ -432,7 +356,7 @@ mod tests {
     fn t() { None::<u32>.unwrap(); unreachable!(); }
 }
 "#;
-        assert_eq!(analyze_source("t.rs", src, ALL).panic_sites, 2);
+        assert_eq!(analyze_source("t.rs", src).panic_sites, 2);
     }
 
     #[test]
@@ -446,10 +370,8 @@ mod tests {
 
     #[test]
     fn forbid_unsafe_detected() {
-        assert!(
-            analyze_source("t.rs", "#![forbid(unsafe_code)]\nfn f() {}", ALL).has_forbid_unsafe
-        );
-        assert!(!analyze_source("t.rs", "fn f() {}", ALL).has_forbid_unsafe);
+        assert!(analyze_source("t.rs", "#![forbid(unsafe_code)]\nfn f() {}").has_forbid_unsafe);
+        assert!(!analyze_source("t.rs", "fn f() {}").has_forbid_unsafe);
     }
 
     #[test]

@@ -7,8 +7,8 @@ use std::fmt;
 /// One lint finding, anchored to a file and line.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Violation {
-    /// Lint id (`hot-path`, `determinism`, `taint`, `reachability`,
-    /// `durability`, `locks`, `panic-budget`, `cfg-hygiene`,
+    /// Lint id (`hot-path`, `taint`, `reachability`, `durability`,
+    /// `locks`, `panic-budget`, `reachability-budget`, `cfg-hygiene`,
     /// `forbid-unsafe`, `directive`).
     pub lint: String,
     /// Workspace-relative file path (or `lint-budget.toml` for ratchet
@@ -50,8 +50,6 @@ pub struct LintReport {
     pub violations: Vec<Violation>,
     /// Observed non-test panic sites per crate.
     pub panic_counts: BTreeMap<String, usize>,
-    /// Observed transitive determinism-taint leaks per sink crate.
-    pub taint_counts: BTreeMap<String, usize>,
     /// Observed reachable panic sites per entry crate (hot-path and
     /// no-panic files).
     pub reach_counts: BTreeMap<String, usize>,
@@ -113,7 +111,6 @@ impl LintReport {
         ));
         for (key, counts) in [
             ("panic_counts", &self.panic_counts),
-            ("taint_counts", &self.taint_counts),
             ("reach_counts", &self.reach_counts),
         ] {
             out.push_str(&format!("  \"{key}\": {{"));
@@ -202,7 +199,7 @@ mod tests {
         let json = LintReport::default().render_json();
         assert!(json.contains("\"violations\": [\n  ]"), "{json}");
         assert!(!json.contains("null"), "{json}");
-        assert!(json.contains("\"taint_counts\": {}"), "{json}");
+        assert!(json.contains("\"reach_counts\": {}"), "{json}");
     }
 
     #[test]

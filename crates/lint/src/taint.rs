@@ -6,9 +6,11 @@
 //! *boundary* — a function in the sink domain (solver crates, digest
 //! code) whose call edge crosses into tainted territory — so one leak
 //! produces one finding at its entry point, not a cascade up every
-//! caller. A source suppressed by `allow(determinism)` is asserted
-//! benign and does not taint; a boundary call can be blessed with
-//! `allow(taint) reason=…`.
+//! caller. Each finding is a violation; nothing budgets them. A source
+//! suppressed by `allow(determinism)` is asserted benign and does not
+//! taint; a boundary call can be blessed with `allow(taint) reason=…`.
+//! A source read directly in a sink function is left to clippy's bans
+//! (`clippy.toml`), so taint reports only the calls that reach one.
 //!
 //! **Reachability** turns the panic budget into a path-aware guarantee:
 //! from every non-test function in a `hot-path` or `no-panic` file, walk
@@ -20,29 +22,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::{reach_forward, reach_reverse, Graph};
+use crate::callgraph::{chain_to, reach_forward, reach_reverse, Graph};
 use crate::lexer::TokenKind;
-use crate::lints::seq;
+use crate::lints::{panic_pattern, seq};
 use crate::report::Violation;
 use crate::Unit;
-
-/// One taint finding plus the sink crate it counts against.
-#[derive(Clone, Debug)]
-pub struct TaintFinding {
-    /// The sink crate whose `[taint]` count this increments.
-    pub krate: String,
-    /// The boundary-call violation, chain included.
-    pub violation: Violation,
-}
-
-/// Taint analysis output.
-#[derive(Clone, Debug, Default)]
-pub struct TaintResult {
-    /// Leak count per sink crate (every sink crate present, 0 when clean).
-    pub counts: BTreeMap<String, usize>,
-    /// The boundary findings behind the counts.
-    pub findings: Vec<TaintFinding>,
-}
 
 /// A determinism source pattern at token `i`, if any.
 fn source_pattern(src: &str, unit: &Unit, i: usize) -> Option<&'static str> {
@@ -89,15 +73,10 @@ fn in_sink_domain(krate: &str, fn_name: &str, sink_crates: &[&str]) -> bool {
     sink_crates.contains(&krate) || fn_name.contains("digest")
 }
 
-/// Runs the determinism taint analysis.
-pub fn taint(g: &Graph, units: &[Unit], sink_crates: &[&str]) -> TaintResult {
-    let mut out = TaintResult::default();
-    for unit in units {
-        if sink_crates.contains(&unit.krate.as_str()) {
-            out.counts.entry(unit.krate.clone()).or_insert(0);
-        }
-    }
-
+/// Runs the determinism taint analysis: one violation per boundary
+/// call, with the chain down to the source.
+pub fn taint(g: &Graph, units: &[Unit], sink_crates: &[&str]) -> Vec<Violation> {
+    let mut out = Vec::new();
     // Seed functions: those containing an unsuppressed source.
     let mut seed: Vec<Option<(&'static str, u32)>> = Vec::with_capacity(g.fns.len());
     let mut seeds = Vec::new();
@@ -117,7 +96,7 @@ pub fn taint(g: &Graph, units: &[Unit], sink_crates: &[&str]) -> TaintResult {
             continue;
         }
         if seed[fi].is_some() {
-            continue; // the direct determinism lint owns this function
+            continue; // direct reads are left to clippy's bans
         }
         let mut reported: BTreeSet<usize> = BTreeSet::new();
         for e in &g.edges[fi] {
@@ -162,26 +141,19 @@ pub fn taint(g: &Graph, units: &[Unit], sink_crates: &[&str]) -> TaintResult {
                 cur = hop;
             }
             let (what, src_line) = seed[cur].unwrap_or(("a determinism source", 0));
-            // Digest fns outside the solver crates count against their
-            // own crate, same as solver-crate boundaries.
-            let sink_crate = info.krate.clone();
-            *out.counts.entry(sink_crate.clone()).or_insert(0) += 1;
-            out.findings.push(TaintFinding {
-                krate: sink_crate,
-                violation: Violation {
-                    lint: "taint".to_string(),
-                    file: info.file_label.clone(),
-                    line: e.line,
-                    message: format!(
-                        "`{}` transitively reaches `{}` ({}:{}); thread the value \
-                         in from the caller or add `allow(taint) reason=…` here",
-                        info.display(),
-                        what,
-                        g.fns[cur].file_label,
-                        src_line,
-                    ),
-                    chain,
-                },
+            out.push(Violation {
+                lint: "taint".to_string(),
+                file: info.file_label.clone(),
+                line: e.line,
+                message: format!(
+                    "`{}` transitively reaches `{}` ({}:{}); thread the value \
+                     in from the caller or add `allow(taint) reason=…` here",
+                    info.display(),
+                    what,
+                    g.fns[cur].file_label,
+                    src_line,
+                ),
+                chain,
             });
         }
     }
@@ -193,17 +165,8 @@ pub fn taint(g: &Graph, units: &[Unit], sink_crates: &[&str]) -> TaintResult {
 /// ends an expression).
 fn panic_site(src: &str, unit: &Unit, i: usize) -> Option<&'static str> {
     let lx = &unit.lx;
-    if seq(src, lx, i, &[".", "unwrap", "("]) {
-        return Some(".unwrap()");
-    }
-    if seq(src, lx, i, &[".", "expect", "("]) {
-        return Some(".expect(");
-    }
-    if seq(src, lx, i, &["panic", "!"]) {
-        return Some("panic!");
-    }
-    if seq(src, lx, i, &["unreachable", "!"]) {
-        return Some("unreachable!");
+    if let Some(what) = panic_pattern(src, lx, i) {
+        return Some(what);
     }
     if lx.text(src, i) == "[" && i > 0 {
         let prev = &lx.tokens[i - 1];
@@ -304,26 +267,7 @@ pub fn reachability_details(
                 .copied()
                 .find(|&e| e == fi || next[e].is_some())
                 .unwrap_or(fi);
-            let mut chain = Vec::new();
-            let mut cur = entry;
-            chain.push(format!(
-                "{} ({}:{})",
-                g.fns[cur].display(),
-                g.fns[cur].file_label,
-                g.fns[cur].def.line
-            ));
-            let mut guard = 0;
-            while cur != fi && guard < g.fns.len() {
-                guard += 1;
-                let Some((hop, hline)) = next[cur] else { break };
-                chain.push(format!(
-                    "{} (called at {}:{})",
-                    g.fns[hop].display(),
-                    g.fns[cur].file_label,
-                    hline
-                ));
-                cur = hop;
-            }
+            let chain = chain_to(g, entry, &next, |f| f == fi);
             out.push(Violation {
                 lint: "reachability".to_string(),
                 file: file.clone(),

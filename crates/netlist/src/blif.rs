@@ -1,3 +1,4 @@
+// rowfpga-lint: no-panic
 //! Parser for a subset of Berkeley BLIF.
 //!
 //! Technology-mapped MCNC benchmarks (the paper's s1, cse, ex1, bw, s1a) are
@@ -218,7 +219,7 @@ pub fn parse_blif(text: &str) -> Result<Netlist, ParseBlifError> {
             Some(_) => {
                 // Cover rows of the preceding .names; connectivity only.
             }
-            None => unreachable!(),
+            None => continue,
         }
     }
 

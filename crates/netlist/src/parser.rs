@@ -1,3 +1,4 @@
+// rowfpga-lint: no-panic
 //! Native text format for netlists.
 //!
 //! A minimal, line-oriented exchange format:
@@ -165,7 +166,7 @@ pub fn parse_netlist(text: &str) -> Result<Netlist, ParseNetlistError> {
                     reason: format!("unknown directive `{other}`"),
                 })
             }
-            None => unreachable!(),
+            None => continue,
         }
     }
 

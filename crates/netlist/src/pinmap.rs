@@ -177,6 +177,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "only membership is asked; the set is never iterated"
+    )]
     fn palettes_are_deterministic_and_deduplicated() {
         let a = pinmap_palette(CellKind::comb(3));
         let b = pinmap_palette(CellKind::comb(3));

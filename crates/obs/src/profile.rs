@@ -78,6 +78,10 @@ impl PhaseProfiler {
 
     /// Opens a span and returns `(id, parent_id)`. Must be balanced by
     /// [`PhaseProfiler::end`] with the same name, in LIFO order.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "span timing is observability wall-clock by design; durations are reported, never fed back into the search"
+    )]
     pub fn start(&mut self, name: &'static str) -> (u64, u64) {
         self.next_id += 1;
         let id = self.id_base + self.next_id;

@@ -30,6 +30,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "deadlines, turnaround and retry pacing are wall-clock by nature; seeds and budgets reach the solver as explicit job config"
+)]
 
 pub mod job;
 pub mod proto;

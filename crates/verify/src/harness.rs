@@ -224,8 +224,11 @@ fn shrink_and_save(
 
 /// Runs a fuzzing campaign. `log` receives one human-readable progress
 /// line per notable event (iteration milestones, failures, shrinks).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock bounds the fuzz campaign; case generation is seed-driven"
+)]
 pub fn run_fuzz(cfg: &FuzzConfig, mut log: impl FnMut(&str)) -> FuzzReport {
-    // rowfpga-lint: allow(determinism) reason=wall-clock bounds the fuzz campaign; case generation is seed-driven
     let start = Instant::now();
     let mut report = FuzzReport::default();
     let done = |i: u64, start: &Instant| -> bool {

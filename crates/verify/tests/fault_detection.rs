@@ -99,13 +99,6 @@ fn a_fault_only_script_still_fails_and_a_clean_one_does_not() {
 #[test]
 fn repros_with_fault_ops_round_trip_through_json() {
     use rowfpga_core::InjectedFault;
-    let case = random_case(
-        5,
-        &CaseConfig {
-            min_cells: 20,
-            max_cells: 40,
-        },
-    );
     let script = rowfpga_verify::MoveScript {
         ops: vec![
             ScriptOp::Exchange {

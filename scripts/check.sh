@@ -54,10 +54,14 @@ if want lint; then
   echo "== cargo fmt --check"
   cargo fmt --all -- --check
 
-  echo "== cargo clippy (deny warnings)"
+  echo "== cargo clippy (deny warnings; clippy.toml bans hash collections and clock reads)"
   cargo clippy --workspace --all-targets --offline -- -D warnings
 
-  echo "== rowfpga lint (domain lints: hot-path, determinism, panic budget)"
+  echo "== cargo clippy (fault-inject build: the same bans over the injection code)"
+  cargo clippy --workspace --all-targets --offline \
+    --features rowfpga-verify/fault-inject -- -D warnings
+
+  echo "== rowfpga lint (domain lints: hot-path, determinism taint, panic budget)"
   run_cli lint
 fi
 
