@@ -47,7 +47,7 @@ mod parallel;
 
 pub use parallel::{
     anneal_parallel, anneal_replicas, replica_seed, ParallelOutcome, ReplicaHooks, ReplicaProblem,
-    ReplicaReport, ReplicaRun, ReplicaStatus, Verdict, EXCHANGE_EVERY,
+    ReplicaReport, ReplicaStatus, Verdict, EXCHANGE_EVERY,
 };
 
 /// A combinatorial problem optimizable by the annealing engine.

@@ -62,14 +62,13 @@ pub struct ReplicaReport {
     pub adoptions: usize,
 }
 
-/// Result of a parallel multi-replica run.
+/// Result of a parallel multi-replica run, handed back next to the winning
+/// replica's live problem.
 #[derive(Clone, Debug)]
-pub struct ParallelOutcome<S> {
+pub struct ParallelOutcome {
     /// Index of the replica whose final cost was lowest (ties break to the
-    /// lowest index).
+    /// lowest index); its problem is the one returned.
     pub best_replica: usize,
-    /// The best replica's final layout snapshot.
-    pub best: S,
     /// The best replica's final cost.
     pub best_cost: f64,
     /// Exchange rounds performed (0 for a single replica).
@@ -77,11 +76,6 @@ pub struct ParallelOutcome<S> {
     /// Per-replica outcomes, indexed by replica.
     pub replicas: Vec<ReplicaReport>,
 }
-
-/// What [`anneal_replicas`] returns: replica 0's problem, annealed in
-/// place, and the outcome, whose `best` holds the winner's final snapshot
-/// unless the winner is replica 0.
-pub type ReplicaRun<P> = (P, ParallelOutcome<Option<<P as ReplicaProblem>::Snapshot>>);
 
 /// How each replica starts and checks itself, on its own thread, and what
 /// the calling thread does at each temperature boundary.
@@ -248,7 +242,8 @@ fn merge<'t, P: 't, R: 't>(caller: &Obs, team: impl Iterator<Item = &'t Replica<
 /// Anneals `replicas` replicas that `hooks` builds, from temperature
 /// boundary `first_temp` (0 for a fresh run), until every schedule has
 /// terminated or [`ReplicaHooks::plan_boundary`] stops the run (see the
-/// module docs).
+/// module docs). Returns the winning replica's own problem, as it stands,
+/// and the run's outcome.
 ///
 /// A single replica journals straight into `obs`. With `K > 1` and an
 /// enabled `obs`, replica `r` records into its own buffered session (replica
@@ -267,7 +262,7 @@ pub fn anneal_replicas<P, H>(
     replicas: usize,
     first_temp: usize,
     obs: &Obs,
-) -> Result<ReplicaRun<P>, H::Error>
+) -> Result<(P, ParallelOutcome), H::Error>
 where
     P: ReplicaProblem,
     H: ReplicaHooks<P>,
@@ -364,14 +359,15 @@ where
     let (winner, best_cost) = ended?;
     let outcome = ParallelOutcome {
         best_replica: winner,
-        best: (everyone(&zero, &others).nth(winner))
-            .filter(|_| winner != 0)
-            .map(|r| r.problem.snapshot()),
         best_cost,
         exchanges,
         replicas: everyone(&zero, &others).map(Replica::summary).collect(),
     };
-    Ok((zero.problem, outcome))
+    let problem = match winner {
+        0 => zero.problem,
+        r => others.swap_remove(r - 1).problem,
+    };
+    Ok((problem, outcome))
 }
 
 /// Builds every replica fresh from a factory; replicas check nothing.
@@ -405,26 +401,21 @@ impl<P: ReplicaProblem, F: Fn(usize) -> P + Sync> ReplicaHooks<P> for Fresh<'_, 
 /// replica `r`'s starting state; replica `r` anneals with seed
 /// [`replica_seed`]`(config.seed, r)`.
 ///
-/// Deterministic in `(config, replicas)`; `replicas == 1` runs on the
-/// calling thread and is bit-identical to the sequential [`Annealer`].
+/// Returns the winning replica's problem and the outcome. Deterministic in
+/// `(config, replicas)`; `replicas == 1` runs on the calling thread and is
+/// bit-identical to the sequential [`Annealer`].
 pub fn anneal_parallel<P, F>(
     factory: F,
     replicas: usize,
     config: &AnnealConfig,
-) -> ParallelOutcome<P::Snapshot>
+) -> (P, ParallelOutcome)
 where
     P: ReplicaProblem,
     F: Fn(usize) -> P + Sync,
 {
     let mut hooks = Fresh { factory, config };
-    let Ok((problem, out)) = anneal_replicas(&mut hooks, replicas, 0, &Obs::disabled());
-    ParallelOutcome {
-        best: out.best.unwrap_or_else(|| problem.snapshot()),
-        best_replica: out.best_replica,
-        best_cost: out.best_cost,
-        exchanges: out.exchanges,
-        replicas: out.replicas,
-    }
+    let Ok(run) = anneal_replicas(&mut hooks, replicas, 0, &Obs::disabled());
+    run
 }
 
 #[cfg(test)]
@@ -511,35 +502,32 @@ mod tests {
         }
     }
 
-    fn run(seed: u64, k: usize) -> ParallelOutcome<Vec<i64>> {
-        anneal_parallel(|_| Toy::new(8), k, &cfg(seed))
+    /// A fresh `k`-replica run of 8-element toys: the winner's final
+    /// layout and the outcome.
+    fn run(seed: u64, k: usize) -> (Vec<i64>, ParallelOutcome) {
+        let (winner, out) = anneal_parallel(|_| Toy::new(8), k, &cfg(seed));
+        (winner.snapshot(), out)
     }
 
-    /// A fresh `k`-replica run of 8-element toys, journaled to `obs`.
-    fn observed(seed: u64, k: usize, obs: &Obs) -> ParallelOutcome<Vec<i64>> {
+    /// [`run`], journaled to `obs`.
+    fn observed(seed: u64, k: usize, obs: &Obs) -> (Vec<i64>, ParallelOutcome) {
         let config = cfg(seed);
         let mut hooks = Fresh {
             factory: |_| Toy::new(8),
             config: &config,
         };
-        let Ok((problem, out)) = anneal_replicas(&mut hooks, k, 0, obs);
-        ParallelOutcome {
-            best: out.best.unwrap_or_else(|| problem.snapshot()),
-            best_replica: out.best_replica,
-            best_cost: out.best_cost,
-            exchanges: out.exchanges,
-            replicas: out.replicas,
-        }
+        let Ok((winner, out)) = anneal_replicas(&mut hooks, k, 0, obs);
+        (winner.snapshot(), out)
     }
 
     #[test]
     fn single_replica_is_bit_identical_to_the_sequential_engine() {
         let mut seq = Toy::new(8);
         let sequential = anneal(&mut seq, &cfg(11), |_| {});
-        let par = run(11, 1);
+        let (best, par) = run(11, 1);
         assert_eq!(par.best_replica, 0);
         assert_eq!(par.exchanges, 0);
-        assert_eq!(par.best, seq.x);
+        assert_eq!(best, seq.x);
         assert_eq!(par.best_cost, sequential.final_cost);
         let rep = &par.replicas[0].outcome;
         assert_eq!(rep.total_moves, sequential.total_moves);
@@ -549,10 +537,10 @@ mod tests {
     #[test]
     fn parallel_runs_are_deterministic_in_seed_and_replica_count() {
         for k in [2, 3] {
-            let a = run(5, k);
-            let b = run(5, k);
+            let (a_best, a) = run(5, k);
+            let (b_best, b) = run(5, k);
             assert_eq!(a.best_replica, b.best_replica);
-            assert_eq!(a.best, b.best);
+            assert_eq!(a_best, b_best);
             assert_eq!(a.best_cost, b.best_cost);
             assert_eq!(a.exchanges, b.exchanges);
             for (x, y) in a.replicas.iter().zip(&b.replicas) {
@@ -566,7 +554,7 @@ mod tests {
 
     #[test]
     fn replicas_use_distinct_rng_streams() {
-        let out = run(5, 3);
+        let (_, out) = run(5, 3);
         assert_eq!(out.replicas.len(), 3);
         // Different streams explore differently: the full per-temperature
         // histories cannot all coincide.
@@ -584,10 +572,15 @@ mod tests {
         // On a convex toy landscape every replica converges to the
         // optimum; the point here is that the exchange machinery ran and
         // the reported best matches the best replica's final state.
-        let out = run(9, 3);
+        let (winner, out) = run(9, 3);
         assert!(out.exchanges > 0);
         let best = &out.replicas[out.best_replica].outcome;
         assert_eq!(out.best_cost, best.final_cost);
+        let winner = Toy {
+            x: winner,
+            ..Toy::new(8)
+        };
+        assert_eq!(winner.cost_of(), out.best_cost, "the winner is handed back");
         for r in &out.replicas {
             assert!(out.best_cost <= r.outcome.final_cost);
         }
@@ -621,16 +614,16 @@ mod tests {
             (out, ring.snapshot())
         };
 
-        let (out_a, lines_a) = observed_run(5, 3);
-        let (_out_b, lines_b) = observed_run(5, 3);
+        let ((best_a, out_a), lines_a) = observed_run(5, 3);
+        let (_, lines_b) = observed_run(5, 3);
         // The merged journal is a pure function of (seed, K) apart from
         // wall-clock durations.
         assert_eq!(normalized_journal(&lines_a), normalized_journal(&lines_b));
 
         // Recording must not perturb the search itself.
-        let plain = run(5, 3);
+        let (best_plain, plain) = run(5, 3);
         assert_eq!(out_a.best_replica, plain.best_replica);
-        assert_eq!(out_a.best, plain.best);
+        assert_eq!(best_a, best_plain);
         assert_eq!(out_a.best_cost, plain.best_cost);
         assert_eq!(out_a.exchanges, plain.exchanges);
 
@@ -666,7 +659,7 @@ mod tests {
     fn observed_parallel_merges_replica_metrics() {
         let ring = rowfpga_obs::RingSink::new(1 << 16);
         let obs = Obs::with_sink(Box::new(ring.clone()));
-        let out = observed(7, 2, &obs);
+        let (_, out) = observed(7, 2, &obs);
         let total_moves: usize = out.replicas.iter().map(|r| r.outcome.total_moves).sum();
         let counted = obs
             .with_session(|s| {
@@ -793,7 +786,7 @@ mod tests {
     #[test]
     fn best_replica_ties_break_to_the_lowest_index() {
         // All replicas reach cost 0 on this easy landscape.
-        let out = anneal_parallel(
+        let (_, out) = anneal_parallel(
             |_| Toy::new(4),
             3,
             &AnnealConfig {

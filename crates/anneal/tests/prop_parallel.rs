@@ -68,13 +68,15 @@ impl ReplicaProblem for Toy {
     }
 }
 
-fn run(seed: u64, k: usize) -> ParallelOutcome<Vec<i64>> {
+/// The winner's final layout and the outcome.
+fn run(seed: u64, k: usize) -> (Vec<i64>, ParallelOutcome) {
     let cfg = AnnealConfig {
         seed,
         max_temps: 15,
         ..AnnealConfig::fast()
     };
-    anneal_parallel(|_| Toy::new(6), k, &cfg)
+    let (winner, outcome) = anneal_parallel(|_| Toy::new(6), k, &cfg);
+    (winner.snapshot(), outcome)
 }
 
 proptest! {
@@ -86,10 +88,10 @@ proptest! {
         seed in 0u64..10_000,
         k in 1usize..4,
     ) {
-        let a = run(seed, k);
-        let b = run(seed, k);
+        let (a_best, a) = run(seed, k);
+        let (b_best, b) = run(seed, k);
         prop_assert_eq!(a.best_replica, b.best_replica);
-        prop_assert_eq!(a.best, b.best);
+        prop_assert_eq!(a_best, b_best);
         prop_assert!(a.best_cost == b.best_cost);
         prop_assert_eq!(a.exchanges, b.exchanges);
         prop_assert_eq!(a.replicas.len(), k);

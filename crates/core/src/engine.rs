@@ -501,17 +501,10 @@ impl SimultaneousPlaceRoute {
         };
         obs.span_start("anneal");
         let first_temp = resumed.as_ref().map_or(0, |ck| ck.temp);
-        let (live, outcome) = anneal_replicas(&mut hooks, replicas, first_temp, obs)?;
+        let (problem, outcome) = anneal_replicas(&mut hooks, replicas, first_temp, obs)?;
         obs.span_end("anneal");
         let (winner, reports) = (outcome.best_replica, outcome.replicas);
-        let mut problem = match outcome.best {
-            None => live,
-            Some(snap) => {
-                drop(live);
-                hooks.restore(&snap)?
-            }
-        }
-        .with_obs(obs.clone());
+        let mut problem = problem.with_obs(obs.clone());
         let LayoutReplicas {
             best,
             repairs: repairs_total,
@@ -762,20 +755,6 @@ struct LayoutReplicas<'r, 'a> {
     checkpoint_due: bool,
 }
 
-impl<'a> LayoutReplicas<'_, 'a> {
-    fn restore(&self, snap: &ProblemSnapshot) -> Result<LayoutProblem<'a>, LayoutError> {
-        let c = self.config;
-        LayoutProblem::restore(
-            self.arch,
-            self.netlist,
-            c.router,
-            c.cost,
-            c.move_weights,
-            snap,
-        )
-    }
-}
-
 impl<'a> ReplicaHooks<LayoutProblem<'a>> for LayoutReplicas<'_, 'a> {
     type Error = LayoutError;
     type Report = Audited;
@@ -798,7 +777,15 @@ impl<'a> ReplicaHooks<LayoutProblem<'a>> for LayoutReplicas<'_, 'a> {
                 },
             ))?;
             let (cursor, snap) = state;
-            let problem = self.restore(snap)?.with_obs(obs.clone());
+            let problem = LayoutProblem::restore(
+                self.arch,
+                self.netlist,
+                c.router,
+                c.cost,
+                c.move_weights,
+                snap,
+            )?
+            .with_obs(obs.clone());
             return Ok((problem, Annealer::resume(&anneal, cursor)));
         }
         let mut problem = LayoutProblem::new(

@@ -209,7 +209,7 @@ impl<'a> LayoutProblem<'a> {
     /// Re-verifies the incremental state against ground truth: the
     /// routing invariants ([`verify_routing`]) and a from-scratch timing
     /// analysis compared to the incrementally tracked one (worst delay
-    /// and every cell arrival, to 1e-6 ps).
+    /// and every cell arrival, bit for bit).
     ///
     /// # Errors
     ///
@@ -221,7 +221,7 @@ impl<'a> LayoutProblem<'a> {
             .map_err(|e| format!("routing: {e}"))?;
         let oracle = TimingState::new(self.arch, self.netlist, &self.placement, &self.routing)
             .map_err(|e| format!("timing oracle: {e}"))?;
-        if (oracle.worst() - self.timing.worst()).abs() > 1e-6 {
+        if oracle.worst() != self.timing.worst() {
             return Err(format!(
                 "timing: worst delay diverged (incremental {} vs oracle {})",
                 self.timing.worst(),
@@ -231,7 +231,7 @@ impl<'a> LayoutProblem<'a> {
         for (id, _) in self.netlist.cells() {
             let tracked = self.timing.arrival(id);
             let truth = oracle.arrival(id);
-            if (truth - tracked).abs() > 1e-6 {
+            if truth != tracked {
                 return Err(format!(
                     "timing: arrival diverged at cell {} (incremental {tracked} vs oracle {truth})",
                     id.index()
@@ -548,7 +548,7 @@ mod tests {
         verify_routing(p.routing(), &arch, &nl, p.placement()).unwrap();
         // timing agrees with a from-scratch oracle
         let oracle = Oracle::new(&arch, &nl, p.placement(), p.routing()).unwrap();
-        assert!((p.timing().worst() - oracle.worst()).abs() < 1e-6);
+        assert_eq!(p.timing().worst().to_bits(), oracle.worst().to_bits());
     }
 
     #[test]
@@ -566,8 +566,9 @@ mod tests {
         }
         verify_routing(p.routing(), &arch, &nl, p.placement()).unwrap();
         let oracle = Oracle::new(&arch, &nl, p.placement(), p.routing()).unwrap();
-        assert!(
-            (p.timing().worst() - oracle.worst()).abs() < 1e-6,
+        assert_eq!(
+            p.timing().worst().to_bits(),
+            oracle.worst().to_bits(),
             "incremental timing diverged: {} vs {}",
             p.timing().worst(),
             oracle.worst()

@@ -386,14 +386,14 @@ pub fn reach_reverse(g: &Graph, seeds: &[usize]) -> Vec<Option<(usize, u32)>> {
 
 /// Renders the call chain from `start` by following `next` hops until a
 /// function satisfying `stop` (typically "has the direct property") is
-/// reached. Frames are `display (file:line)` strings; the first frame is
-/// `start` itself.
+/// reached, and returns it with the function the walk ended at. Frames are
+/// `display (file:line)` strings; the first frame is `start` itself.
 pub fn chain_to(
     g: &Graph,
     start: usize,
     next: &[Option<(usize, u32)>],
     stop: impl Fn(usize) -> bool,
-) -> Vec<String> {
+) -> (Vec<String>, usize) {
     let mut frames = Vec::new();
     let mut cur = start;
     frames.push(format!(
@@ -416,7 +416,7 @@ pub fn chain_to(
         ));
         cur = hop;
     }
-    frames
+    (frames, cur)
 }
 
 #[cfg(test)]
@@ -530,7 +530,8 @@ mod tests {
         let from = reach_forward(&g, &[a]);
         assert!(from[c].is_some());
         let next = reach_reverse(&g, &[c]);
-        let chain = chain_to(&g, a, &next, |f| f == c);
+        let (chain, end) = chain_to(&g, a, &next, |f| f == c);
+        assert_eq!(end, c);
         assert_eq!(chain.len(), 3, "{chain:?}");
         assert!(chain[0].starts_with("app::a"));
         assert!(chain[2].starts_with("app::c"));

@@ -23,7 +23,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::{reach_reverse, Graph};
+use crate::callgraph::{chain_to, reach_reverse, Graph};
 use crate::lexer::TokenKind;
 use crate::lints::seq;
 use crate::report::Violation;
@@ -294,27 +294,16 @@ pub fn check(g: &Graph, units: &[Unit]) -> Vec<Violation> {
                 }
                 if may_block(e.callee) && !unit.allows.permits("locks", e.line) {
                     let callee = &g.fns[e.callee];
+                    let (hops, cur) = chain_to(g, e.callee, &toward_block, |f| {
+                        directly_blocks(g, units, f).is_some()
+                    });
                     let mut chain = vec![format!(
                         "{} (called at {}:{})",
                         callee.display(),
                         info.file_label,
                         e.line
                     )];
-                    let mut cur = e.callee;
-                    let mut guard = 0;
-                    while directly_blocks(g, units, cur).is_none() && guard < n {
-                        guard += 1;
-                        let Some((hop, hline)) = toward_block[cur] else {
-                            break;
-                        };
-                        chain.push(format!(
-                            "{} (called at {}:{})",
-                            g.fns[hop].display(),
-                            g.fns[cur].file_label,
-                            hline
-                        ));
-                        cur = hop;
-                    }
+                    chain.extend(hops.into_iter().skip(1));
                     let what = directly_blocks(g, units, cur).unwrap_or("a blocking call");
                     out.push(Violation {
                         lint: "locks".to_string(),

@@ -90,6 +90,7 @@ pub fn taint(g: &Graph, units: &[Unit], sink_crates: &[&str]) -> Vec<Violation> 
     // next[f] = hop toward the nearest source (reverse reachability).
     let next = reach_reverse(g, &seeds);
     let tainted = |f: usize| seed[f].is_some() || next[f].is_some();
+    let mut reported: BTreeSet<(String, u32, String)> = BTreeSet::new();
 
     for (fi, info) in g.fns.iter().enumerate() {
         if info.is_test || !in_sink_domain(&info.krate, &info.def.name, sink_crates) {
@@ -98,10 +99,9 @@ pub fn taint(g: &Graph, units: &[Unit], sink_crates: &[&str]) -> Vec<Violation> 
         if seed[fi].is_some() {
             continue; // direct reads are left to clippy's bans
         }
-        let mut reported: BTreeSet<usize> = BTreeSet::new();
         for e in &g.edges[fi] {
             let gi = e.callee;
-            if !tainted(gi) || !reported.insert(gi) {
+            if !tainted(gi) {
                 continue;
             }
             // Boundary: the callee is itself a source, or sits outside
@@ -114,45 +114,37 @@ pub fn taint(g: &Graph, units: &[Unit], sink_crates: &[&str]) -> Vec<Violation> 
             if units[info.file].allows.permits("taint", e.line) {
                 continue;
             }
-            // Chain: this call edge, then hops toward the source.
-            let mut chain = vec![format!(
-                "{} ({}:{})",
-                info.display(),
-                info.file_label,
-                info.def.line
-            )];
-            chain.push(format!(
-                "{} (called at {}:{})",
-                callee.display(),
-                info.file_label,
-                e.line
-            ));
-            let mut cur = gi;
-            let mut guard = 0;
-            while seed[cur].is_none() && guard < g.fns.len() {
-                guard += 1;
-                let Some((hop, line)) = next[cur] else { break };
-                chain.push(format!(
-                    "{} (called at {}:{})",
-                    g.fns[hop].display(),
-                    g.fns[cur].file_label,
-                    line
-                ));
-                cur = hop;
-            }
+            let (hops, cur) = chain_to(g, gi, &next, |f| seed[f].is_some());
             let (what, src_line) = seed[cur].unwrap_or(("a determinism source", 0));
+            let message = format!(
+                "`{}` transitively reaches `{}` ({}:{}); thread the value \
+                 in from the caller or add `allow(taint) reason=…` here",
+                info.display(),
+                what,
+                g.fns[cur].file_label,
+                src_line,
+            );
+            // A call that resolves to several tainted impls reaching the
+            // same source is one finding; the first chain stands for all.
+            if !reported.insert((info.file_label.clone(), e.line, message.clone())) {
+                continue;
+            }
+            // Chain: this call edge, then hops toward the source.
+            let mut chain = vec![
+                format!("{} ({}:{})", info.display(), info.file_label, info.def.line),
+                format!(
+                    "{} (called at {}:{})",
+                    callee.display(),
+                    info.file_label,
+                    e.line
+                ),
+            ];
+            chain.extend(hops.into_iter().skip(1));
             out.push(Violation {
                 lint: "taint".to_string(),
                 file: info.file_label.clone(),
                 line: e.line,
-                message: format!(
-                    "`{}` transitively reaches `{}` ({}:{}); thread the value \
-                     in from the caller or add `allow(taint) reason=…` here",
-                    info.display(),
-                    what,
-                    g.fns[cur].file_label,
-                    src_line,
-                ),
+                message,
                 chain,
             });
         }
@@ -267,7 +259,7 @@ pub fn reachability_details(
                 .copied()
                 .find(|&e| e == fi || next[e].is_some())
                 .unwrap_or(fi);
-            let chain = chain_to(g, entry, &next, |f| f == fi);
+            let (chain, _) = chain_to(g, entry, &next, |f| f == fi);
             out.push(Violation {
                 lint: "reachability".to_string(),
                 file: file.clone(),

@@ -206,6 +206,39 @@ fn taint_is_reported_directly_and_honours_its_suppressions() {
     assert_eq!(taint_lints("benign", "", benign, "[panics]\n"), vec![]);
     let blessed = "    // rowfpga-lint: allow(taint) reason=telemetry only\n";
     assert_eq!(taint_lints("blessed", blessed, "", "[panics]\n"), vec![]);
+    // Blessing one call to `stamp` leaves the next call to it reported.
+    let one_blessed = format!("{blessed}    let _ = util::stamp();\n");
+    assert_eq!(
+        taint_lints("one-blessed", &one_blessed, "", "[panics]\n"),
+        leak
+    );
+}
+
+/// `a.tick()` resolves to both `A::tick` and `B::tick`, which reach the
+/// same clock read through `stamp`: one call, one finding.
+#[test]
+fn a_call_resolving_to_two_tainted_impls_is_one_finding() {
+    let step = "/// A solver step.\npub fn step(a: &util::A) -> u64 {\n    a.tick()\n}\n";
+    let util = "/// Reads the clock.\npub fn stamp() -> u64 {\n    \
+                std::time::Instant::now().elapsed().as_millis() as u64\n}\n\
+                /// One ticker.\npub struct A;\n/// Another.\npub struct B;\n\
+                impl A {\n    /// Stamps.\n    pub fn tick(&self) -> u64 {\n        stamp()\n    }\n}\n\
+                impl B {\n    /// Stamps.\n    pub fn tick(&self) -> u64 {\n        stamp()\n    }\n}\n";
+    let root = write_repo(
+        "two-impls",
+        &[("rowfpga-core", step), ("util", util)],
+        "[panics]\n",
+    );
+    let report = run_repo(&root, Options::default()).unwrap();
+    fs::remove_dir_all(&root).unwrap();
+    let taint: Vec<_> = (report.violations.iter())
+        .filter(|v| v.lint == "taint")
+        .collect();
+    assert_eq!(taint.len(), 1, "{taint:?}");
+    assert!(
+        taint[0].chain.iter().any(|f| f.contains("stamp")),
+        "{taint:?}"
+    );
 }
 
 #[test]

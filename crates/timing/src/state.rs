@@ -20,9 +20,6 @@ use crate::delay::{cell_intrinsic_delay, endpoint_intrinsic_delay, net_sink_dela
 use crate::elmore::ElmoreScratch;
 use crate::sta::is_endpoint;
 
-/// Arrival changes smaller than this are not propagated.
-const EPS: f64 = 1e-9;
-
 /// A sink cell that is neither a boundary nor an endpoint: propagation
 /// continues through it.
 const SINK_INTERNAL: u8 = 0;
@@ -542,7 +539,7 @@ impl TimingState {
                     continue;
                 };
                 let new_arr = self.worst_fanin(CellId::new(i)).unwrap_or(0.0) + intrinsic;
-                if (new_arr - old).abs() <= EPS {
+                if new_arr == old {
                     continue;
                 }
                 self.save_arr(CellId::new(i));
@@ -564,7 +561,7 @@ impl TimingState {
                 continue;
             }
             let ea = self.worst_fanin(e).unwrap_or(0.0) + self.tables.endpoint_intrinsic[e.index()];
-            if (ea - self.endpoint_arr[e.index()]).abs() > EPS {
+            if ea != self.endpoint_arr[e.index()] {
                 self.save_endpoint(e);
                 self.endpoint_arr[e.index()] = ea;
             }
@@ -682,10 +679,10 @@ mod tests {
         let (arch, nl, p, st) = problem(3);
         let ts = TimingState::new(&arch, &nl, &p, &st).unwrap();
         let sta = crate::Sta::analyze(&arch, &nl, &p, &st).unwrap();
-        assert!((ts.worst() - sta.worst_delay()).abs() < 1e-6);
+        assert_eq!(ts.worst().to_bits(), sta.worst_delay().to_bits());
         for (id, c) in nl.cells() {
             if c.kind().has_output() {
-                assert!((ts.arrival(id) - sta.arrival(id)).abs() < 1e-6);
+                assert_eq!(ts.arrival(id).to_bits(), sta.arrival(id).to_bits());
             }
         }
     }
@@ -715,15 +712,17 @@ mod tests {
             let worst = ts.update_nets(&arch, &nl, &p, &st, &changed);
 
             let oracle = TimingState::new(&arch, &nl, &p, &st).unwrap();
-            assert!(
-                (worst - oracle.worst()).abs() < 1e-6,
+            assert_eq!(
+                worst.to_bits(),
+                oracle.worst().to_bits(),
                 "incremental {worst} != full {}",
                 oracle.worst()
             );
             for (id, c) in nl.cells() {
                 if c.kind().has_output() {
-                    assert!(
-                        (ts.arrival(id) - oracle.arrival(id)).abs() < 1e-6,
+                    assert_eq!(
+                        ts.arrival(id).to_bits(),
+                        oracle.arrival(id).to_bits(),
                         "arrival mismatch on {id:?}"
                     );
                 }

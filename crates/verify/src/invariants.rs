@@ -278,7 +278,6 @@ pub fn elmore_delays(
     routing: &RoutingState,
 ) -> Result<(), Violation> {
     const NAME: &str = "elmore-delays";
-    const EPS: f64 = 1e-9;
     let timing = TimingState::new(arch, netlist, placement, routing)
         .map_err(|e| Violation::new(NAME, format!("netlist not levelizable: {e}")))?;
     if !(timing.worst().is_finite() && timing.worst() >= 0.0) {
@@ -316,7 +315,9 @@ pub fn elmore_delays(
             }
             if matches!(netlist.cell(sink.cell).kind(), CellKind::Comb { .. }) {
                 let sink_arr = timing.arrival(sink.cell);
-                if sink_arr + EPS < driver_arr + d {
+                // Exact: the sink's arrival adds a non-negative intrinsic
+                // delay to this very sum, and float addition is monotone.
+                if sink_arr < driver_arr + d {
                     return Err(Violation::new(
                         NAME,
                         format!(

@@ -14,9 +14,9 @@
 //! * [`script`] records replayable move sequences whose every subsequence
 //!   stays legal, the property that makes shrinking possible;
 //! * [`oracle`] compares the incremental engine against from-scratch
-//!   rebuilds: occupancy vs routes, incremental vs full timing (to ULP
-//!   tolerance), apply-then-undo identity, checkpoint round trips,
-//!   checkpoint crash windows and K-replica determinism;
+//!   rebuilds: occupancy vs routes, incremental vs full timing (bit for
+//!   bit), apply-then-undo identity, checkpoint round trips, checkpoint
+//!   crash windows and K-replica determinism;
 //! * [`shrink`] reduces failing scripts to 1-minimal repros with ddmin;
 //! * [`repro`] persists a failure as `.arch`, `.net` and JSON sidecar
 //!   files that replay deterministically;
@@ -43,7 +43,7 @@ pub use harness::{run_fuzz_with_faults, FaultReport, FaultTrial};
 pub use invariants::{check_all, Violation};
 pub use oracle::{
     checkpoint_crash_windows, checkpoint_roundtrip, differential_audit, replica_determinism,
-    rollback_identity, ulp_distance, OracleFailure, StateDigest, TIMING_ULPS,
+    rollback_identity, OracleFailure, StateDigest,
 };
 pub use repro::Repro;
 pub use script::{op_to_move, random_script, replay, MoveScript, ScriptOp};

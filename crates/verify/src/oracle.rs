@@ -7,8 +7,8 @@
 //!
 //! * **state vs rebuild** — occupancy and queue bookkeeping re-derived from
 //!   the per-net routes (export → restore), and a from-scratch static
-//!   timing analysis, compared to the incrementally tracked values to ULP
-//!   tolerance;
+//!   timing analysis, compared to the incrementally tracked values bit for
+//!   bit;
 //! * **rollback identity** — apply-then-undo leaves a bit-identical state
 //!   digest;
 //! * **checkpoint round trip** — serialize → parse → restore reproduces the
@@ -52,40 +52,10 @@ impl fmt::Display for OracleFailure {
 
 impl std::error::Error for OracleFailure {}
 
-/// Units-in-the-last-place distance between two doubles (`u64::MAX` when
-/// either is NaN). Equal values (including `+0.0`/`-0.0`) report 0.
-pub fn ulp_distance(a: f64, b: f64) -> u64 {
-    if a == b {
-        return 0;
-    }
-    if a.is_nan() || b.is_nan() {
-        return u64::MAX;
-    }
-    // Map the IEEE-754 bit patterns onto a monotone integer line.
-    fn key(x: f64) -> i128 {
-        let bits = x.to_bits() as i64;
-        let k = if bits < 0 { i64::MIN - bits } else { bits };
-        k as i128
-    }
-    key(a).abs_diff(key(b)).min(u64::MAX as u128) as u64
-}
-
-/// Tolerance for comparing incrementally tracked delays against a
-/// from-scratch analysis. The incremental STA recomputes affected cells
-/// through the same code path as the full analysis, so agreement is
-/// expected to the last bit; a tiny ULP budget absorbs any benign
-/// fold-order drift without masking real divergence (injected timing
-/// faults are ≥ 0.1 ps, about 10 orders of magnitude above this).
-pub const TIMING_ULPS: u64 = 64;
-
-fn ulp_close(a: f64, b: f64) -> bool {
-    ulp_distance(a, b) <= TIMING_ULPS
-}
-
 /// A full bit-level digest of an evolving layout: everything a move could
 /// touch. Two digests compare equal iff placement, routing occupancy,
-/// per-net routes and tracked timing are identical (delays compared by
-/// bits, not tolerance — this is for *identity* checks like rollback).
+/// per-net routes and tracked timing are identical, delays compared by
+/// their bits.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StateDigest {
     sites: Vec<usize>,
@@ -166,8 +136,8 @@ impl StateDigest {
 /// **State-vs-rebuild oracle.** Re-derives the routing occupancy, queue
 /// bookkeeping and counters from the per-net routes alone (export →
 /// restore, the checkpoint path), and a from-scratch timing analysis, and
-/// compares both against the incrementally maintained state. Also runs the
-/// full structural-invariant library.
+/// compares both against the incrementally maintained state, timing bit
+/// for bit. Also runs the full structural-invariant library.
 pub fn differential_audit(
     arch: &Architecture,
     netlist: &Netlist,
@@ -201,24 +171,23 @@ pub fn differential_audit(
         ));
     }
 
-    // Timing: from-scratch analysis, compared to ULP tolerance.
+    // Timing: from-scratch analysis, compared by bits.
     let oracle = TimingState::new(arch, netlist, problem.placement(), problem.routing())
         .map_err(|e| OracleFailure::new(NAME, format!("timing oracle: {e}")))?;
-    if !ulp_close(oracle.worst(), problem.timing().worst()) {
+    if oracle.worst().to_bits() != problem.timing().worst().to_bits() {
         return Err(OracleFailure::new(
             NAME,
             format!(
-                "worst delay diverged: incremental {} vs from-scratch {} ({} ulps)",
+                "worst delay diverged: incremental {} vs from-scratch {}",
                 problem.timing().worst(),
-                oracle.worst(),
-                ulp_distance(oracle.worst(), problem.timing().worst())
+                oracle.worst()
             ),
         ));
     }
     for (cell, _) in netlist.cells() {
         let tracked = problem.timing().arrival(cell);
         let truth = oracle.arrival(cell);
-        if !ulp_close(tracked, truth) {
+        if tracked.to_bits() != truth.to_bits() {
             return Err(OracleFailure::new(
                 NAME,
                 format!(
@@ -282,9 +251,9 @@ pub fn synthetic_checkpoint(
 
 /// **Checkpoint round-trip oracle.** Serializes the live problem into a
 /// full checkpoint (JSON text), parses it back, validates the header,
-/// restores a fresh problem from it, and requires the restored layout to be
-/// bit-identical (timing re-derived, compared to ULP tolerance through
-/// [`differential_audit`]'s machinery on the restored problem).
+/// restores a fresh problem from it, and requires the restored problem's
+/// [`StateDigest`] to equal the live one: the layout and the re-derived
+/// timing, bit for bit.
 pub fn checkpoint_roundtrip(
     arch: &Architecture,
     netlist: &Netlist,
@@ -326,33 +295,13 @@ pub fn checkpoint_roundtrip(
     }
     let restored = LayoutProblem::restore(arch, netlist, router_cfg, cost_cfg, move_weights, snap)
         .map_err(|e| OracleFailure::new(NAME, format!("snapshot does not restore: {e}")))?;
-    // The restored problem re-derives timing from scratch; compare layouts
-    // bit-exactly and timing to tolerance.
-    if restored.placement().export_sites() != problem.placement().export_sites()
-        || restored.placement().export_pinmaps() != problem.placement().export_pinmaps()
-    {
-        return Err(OracleFailure::new(
+    match StateDigest::of(&restored).diff(&StateDigest::of(problem)) {
+        None => Ok(()),
+        Some(d) => Err(OracleFailure::new(
             NAME,
-            "restored placement differs from the original".into(),
-        ));
+            format!("restored problem differs from the live one: {d}"),
+        )),
     }
-    if restored.routing().occupancy_digest() != problem.routing().occupancy_digest() {
-        return Err(OracleFailure::new(
-            NAME,
-            "restored routing occupancy differs from the original".into(),
-        ));
-    }
-    if !ulp_close(restored.timing().worst(), problem.timing().worst()) {
-        return Err(OracleFailure::new(
-            NAME,
-            format!(
-                "restored worst delay {} vs live {}",
-                restored.timing().worst(),
-                problem.timing().worst()
-            ),
-        ));
-    }
-    Ok(())
 }
 
 /// **Checkpoint crash-window oracle.** Saves a complete snapshot, then
@@ -406,8 +355,8 @@ pub fn checkpoint_crash_windows(
 }
 
 /// **K-replica determinism oracle.** Runs K-replica parallel annealing
-/// twice with the same (seed, K) — the winning snapshot must be
-/// bit-identical — and additionally requires the single-replica parallel
+/// twice with the same (seed, K) — the winners must have the same
+/// [`StateDigest`] — and additionally requires the single-replica parallel
 /// path to reproduce the sequential [`anneal`](rowfpga_anneal::anneal)
 /// engine bit-for-bit (replica 0 runs the base RNG stream).
 pub fn replica_determinism(
@@ -432,30 +381,34 @@ pub fn replica_determinism(
         )
         .expect("a generated fuzz case always constructs")
     };
-    let a = anneal_parallel(factory, replicas, &config);
-    let b = anneal_parallel(factory, replicas, &config);
-    if a.best_replica != b.best_replica
-        || a.best_cost.to_bits() != b.best_cost.to_bits()
-        || a.best != b.best
+    let (a, a_out) = anneal_parallel(factory, replicas, &config);
+    let (b, b_out) = anneal_parallel(factory, replicas, &config);
+    let layout = StateDigest::of(&a).diff(&StateDigest::of(&b));
+    if a_out.best_replica != b_out.best_replica
+        || a_out.best_cost.to_bits() != b_out.best_cost.to_bits()
+        || layout.is_some()
     {
         return Err(OracleFailure::new(
             NAME,
             format!(
                 "two {replicas}-replica runs with seed {seed} diverged \
-                 (winner {} cost {} vs winner {} cost {})",
-                a.best_replica, a.best_cost, b.best_replica, b.best_cost
+                 (winner {} cost {} vs winner {} cost {}; {})",
+                a_out.best_replica,
+                a_out.best_cost,
+                b_out.best_replica,
+                b_out.best_cost,
+                layout.as_deref().unwrap_or("same layout")
             ),
         ));
     }
     // K = 1 must reproduce the sequential engine exactly.
-    let single = anneal_parallel(factory, 1, &config);
+    let (single, _) = anneal_parallel(factory, 1, &config);
     let mut problem = factory(0);
     rowfpga_anneal::anneal(&mut problem, &config, |_| {});
-    let seq_snapshot = LayoutProblem::snapshot(&problem);
-    if single.best != seq_snapshot {
+    if let Some(d) = StateDigest::of(&single).diff(&StateDigest::of(&problem)) {
         return Err(OracleFailure::new(
             NAME,
-            format!("1-replica parallel run differs from the sequential engine (seed {seed})"),
+            format!("1-replica parallel run differs from the sequential engine (seed {seed}): {d}"),
         ));
     }
     Ok(())
@@ -488,16 +441,6 @@ mod tests {
             seed,
         )
         .unwrap()
-    }
-
-    #[test]
-    fn ulp_distance_behaves() {
-        assert_eq!(ulp_distance(1.0, 1.0), 0);
-        assert_eq!(ulp_distance(0.0, -0.0), 0);
-        assert_eq!(ulp_distance(1.0, f64::from_bits(1.0f64.to_bits() + 1)), 1);
-        assert!(ulp_distance(1.0, 1.0 + 1e-9) > TIMING_ULPS);
-        assert_eq!(ulp_distance(f64::NAN, 1.0), u64::MAX);
-        assert!(ulp_distance(-1.0, 1.0) > TIMING_ULPS);
     }
 
     #[test]

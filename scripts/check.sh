@@ -151,6 +151,18 @@ if want smoke; then
   grep -q "routed: true" "$smoke_dir/par1.out" \
     || { echo "FAIL: two-replica layout left nets unrouted"; exit 1; }
 
+  echo "== exact timing smoke (bit-exact audit at every temperature, 1 and 2 replicas)"
+  # The audit compares the live incremental timing with a from-scratch
+  # analysis bit for bit; a `repaired` stop means the two disagreed.
+  for threads in 1 2; do
+    run_cli layout "$smoke_dir/smoke.net" \
+      --fast --seed 5 --threads "$threads" --audit-every 1 \
+      > "$smoke_dir/audit$threads.out"
+    grep -q "stop: converged" "$smoke_dir/audit$threads.out" \
+      || { cat "$smoke_dir/audit$threads.out"
+           echo "FAIL: audited layout with $threads replica(s) did not converge cleanly"; exit 1; }
+  done
+
   echo "== parallel resilience smoke (2 replicas: 2 s deadline -> checkpoint -> resume)"
   run_cli layout "$smoke_dir/deadline.net" --threads 2 \
     --deadline 2 --checkpoint "$smoke_dir/par.ckpt" \
