@@ -383,10 +383,13 @@ USAGE:
                    [--checkpoint-keep N] [--resume FILE] [--deadline SECS]
                    [--audit-every N] [--temp-budget N] [--threads N]
   rowfpga mintracks <netlist> [--blif] [--flow sim|seq] [--fast] [--seed N]
-                   [--start N]
+                   [--start N] [--arch FILE] [--threads N]
   rowfpga bench    <s1|cse|ex1|bw|s1a|big529> [--flow sim|seq] [--fast]
-                   [--seed N] [--tracks N] [--svg FILE] [--ascii] [--report]
-                   [--journal FILE] [--metrics] [--threads N]
+                   [--seed N] [--tracks N] [--arch FILE] [--svg FILE]
+                   [--ascii] [--report] [--journal FILE] [--metrics]
+                   [--checkpoint FILE] [--checkpoint-every N]
+                   [--checkpoint-keep N] [--resume FILE] [--deadline SECS]
+                   [--audit-every N] [--temp-budget N] [--threads N]
   rowfpga fuzz     [--seconds N] [--iters N] [--seed N] [--corpus DIR]
                    [--min-cells N] [--max-cells N]
   rowfpga fuzz     --replay FILE.repro.json
@@ -440,7 +443,7 @@ SERVICE (layout-as-a-service; see DESIGN.md \u{a7}13):
   file, so the daemon never reads the client's paths), `jobs` lists or
   inspects them, `cancel` stops one.
 
-RESILIENCE (simultaneous flow only):
+RESILIENCE (simultaneous flow only; `layout` and `bench`):
   --checkpoint FILE     atomically snapshot the full annealer state here
   --checkpoint-every N  snapshot cadence in temperature steps (default 5)
   --checkpoint-keep N   retained checkpoint generations besides the base
@@ -462,7 +465,7 @@ FUZZING:
   rowfpga fuzz draws random architectures and netlists, replays random
   move scripts through the incremental engine, and cross-checks every
   iteration against from-scratch rebuilds (routing occupancy, detailed
-  routes, Elmore timing to ULP tolerance), rollback identity, checkpoint
+  routes, Elmore timing bit for bit), rollback identity, checkpoint
   round trips and crash windows, and K-replica determinism. Failures are
   reduced to 1-minimal scripts with delta debugging and written to
   `--corpus` as `.arch`, `.net` and `.repro.json` files; `--replay`
@@ -1010,6 +1013,37 @@ mod tests {
                 assert!(opts.fast);
             }
             _ => panic!("wrong command"),
+        }
+    }
+
+    #[test]
+    fn bench_usage_lists_the_shared_flags_it_parses() {
+        let entry = USAGE
+            .split("\n  rowfpga ")
+            .find(|e| e.starts_with("bench "))
+            .unwrap();
+        let cases: [&[&str]; 8] = [
+            &["--arch", "chip.arch"],
+            &["--audit-every", "1"],
+            &["--deadline", "5"],
+            &["--temp-budget", "3"],
+            &["--checkpoint", "ck.json"],
+            &["--checkpoint-every", "2", "--checkpoint", "ck.json"],
+            &["--checkpoint-keep", "1", "--checkpoint", "ck.json"],
+            &["--resume", "ck.json"],
+        ];
+        for flags in cases {
+            let flag = flags[0];
+            assert!(
+                entry.contains(&format!("[{flag} ")),
+                "`{flag}` missing from the bench usage entry"
+            );
+            let mut argv = vec!["bench", "cse"];
+            argv.extend(flags);
+            assert!(
+                matches!(parse_args(&v(&argv)), Ok(Command::Bench { .. })),
+                "`bench cse {flags:?}` does not parse"
+            );
         }
     }
 

@@ -1555,4 +1555,42 @@ mod tests {
         }
         verify_routing(&resumed.routing, &arch, &nl, &resumed.placement).unwrap();
     }
+
+    /// Pins the layouts of the fixture at seed 5: worst-delay bits, total
+    /// moves, temperatures and occupancy digest, at one and two replicas
+    /// and at 6 tracks, where cleanup and final repair both run. A change
+    /// that is meant to alter layouts re-records these constants and says
+    /// so in CHANGES.md; any other change must leave them alone.
+    #[test]
+    fn fixture_layouts_are_pinned() {
+        let (arch, nl) = fixture();
+        let cases = [
+            (16, 1, 0x40e97da000000000, 3201, 23, 0x09f70aaf8f401101),
+            (16, 2, 0x40e9c8f47ae147ae, 5717, 20, 0xb63607b8612af282),
+            (6, 1, 0x40f0eb54fe629460, 2653, 19, 0x661482759c0fc581),
+        ];
+        for (tracks, threads, worst, moves, temps, digest) in cases {
+            let arch = arch.with_tracks(tracks).unwrap();
+            let mut cfg = SimPrConfig::fast().with_seed(5);
+            cfg.threads = threads;
+            let obs = Obs::metrics_only();
+            let r = SimultaneousPlaceRoute::new(cfg)
+                .run_observed(&arch, &nl, "fixture", &obs)
+                .unwrap();
+            let case = format!("{tracks} tracks, {threads} replicas");
+            assert_eq!(r.worst_delay.to_bits(), worst, "{case}");
+            assert_eq!(r.total_moves, moves, "{case}");
+            assert_eq!(r.temperatures, temps, "{case}");
+            assert_eq!(r.routing.occupancy_digest(), digest, "{case}");
+            let (cleanup, repairs) = obs
+                .with_session(|s| {
+                    let repairs = s.profiler.total("final_repair").map_or(0, |t| t.calls);
+                    (s.metrics.counter("cleanup.moves"), repairs)
+                })
+                .unwrap();
+            let starved = tracks < 16;
+            assert_eq!(cleanup > 0, starved, "cleanup ran: {case}");
+            assert_eq!(repairs > 0, starved, "final repair ran: {case}");
+        }
+    }
 }

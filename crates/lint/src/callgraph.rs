@@ -4,9 +4,10 @@
 //!
 //! Resolution is name-based and deliberately over-approximate where the
 //! tokens underdetermine the callee (method calls resolve to every
-//! workspace impl bearing the name, minus a deny-list of std-shadowing
-//! names that would connect everything to everything; `self.m(…)`
-//! resolves to the caller's own impl when that defines `m`). An
+//! workspace impl bearing the name that the caller's crate can reach,
+//! minus a deny-list of std-shadowing names that would connect everything
+//! to everything; `self.m(…)` resolves to the caller's own impl when that
+//! defines `m`). An
 //! over-approximate edge can only create a false *finding*, which a
 //! reasoned allow region answers; a missed edge is a soundness gap, so
 //! the resolver prefers linking too much over too little. See DESIGN.md
@@ -138,6 +139,9 @@ pub struct FileFns<'a> {
     pub parsed: &'a ParsedFile,
     /// Per-token `#[cfg(test)]` mask for the file.
     pub test_mask: &'a [bool],
+    /// The workspace crates the owning crate depends on, directly or
+    /// transitively (see [`crate::model::Workspace::dependency_closure`]).
+    pub deps: &'a [String],
 }
 
 /// Builds the workspace call graph from every file's parsed items.
@@ -180,7 +184,8 @@ pub fn build(files: &[FileFns<'_>]) -> Graph {
     for (caller, &fi) in file_of_entry.iter().enumerate() {
         let calls = g.fns[caller].def.calls.clone();
         for call in &calls {
-            for callee in resolve(&g, &by_name, &crate_names, &aliases[fi], caller, call) {
+            let deps = files[fi].deps;
+            for callee in resolve(&g, &by_name, &crate_names, &aliases[fi], deps, caller, call) {
                 if callee == caller {
                     continue; // self-recursion adds nothing to reachability
                 }
@@ -201,12 +206,14 @@ pub fn build(files: &[FileFns<'_>]) -> Graph {
     g
 }
 
-/// Resolves one call to zero or more function indices.
+/// Resolves one call to zero or more function indices. `deps` are the
+/// caller's crate's workspace dependencies.
 fn resolve(
     g: &Graph,
     by_name: &BTreeMap<&str, Vec<usize>>,
     crate_names: &[String],
     aliases: &BTreeMap<&str, &[String]>,
+    deps: &[String],
     caller: usize,
     call: &Call,
 ) -> Vec<usize> {
@@ -223,10 +230,21 @@ fn resolve(
         if !call.empty_args && (name == "join" || name == "wait") {
             return Vec::new();
         }
+        // An inherent method is callable only from its own crate and the
+        // crates depending on it. A trait method may run anywhere: generic
+        // code dispatches to impls in crates it cannot name. Test code may
+        // also use dev-dependencies, so it keeps every candidate.
+        let reachable = |c: usize| {
+            let callee = &g.fns[c];
+            callee.def.trait_method
+                || caller_info.is_test
+                || callee.krate == caller_info.krate
+                || deps.contains(&callee.krate)
+        };
         let impls: Vec<usize> = candidates
             .iter()
             .copied()
-            .filter(|&c| g.fns[c].def.impl_type.is_some())
+            .filter(|&c| g.fns[c].def.impl_type.is_some() && reachable(c))
             .collect();
         // `self.m(…)` is the caller's own method whenever its impl
         // defines one.
@@ -425,8 +443,24 @@ mod tests {
     use crate::items::parse_file;
     use crate::lexer::lex;
 
+    /// The graph of `files` (`(krate, label, src)`), each crate depending
+    /// on every other one.
     fn graph_of(files: &[(&str, &str, &str)]) -> Graph {
-        // (krate, label, src)
+        let all: Vec<&str> = files.iter().map(|f| f.0).collect();
+        graph_with_deps(files, &all)
+    }
+
+    /// The graph of `files` (`(krate, label, src)`), each crate depending
+    /// on the crates of `deps` other than itself.
+    fn graph_with_deps(files: &[(&str, &str, &str)], deps: &[&str]) -> Graph {
+        let deps_of: Vec<Vec<String>> = files
+            .iter()
+            .map(|f| {
+                (deps.iter().filter(|d| **d != f.0))
+                    .map(|d| d.to_string())
+                    .collect()
+            })
+            .collect();
         let parsed: Vec<_> = files
             .iter()
             .map(|(_, label, src)| {
@@ -451,6 +485,7 @@ mod tests {
                 krate,
                 parsed: &parsed[i].0,
                 test_mask: &masks[i],
+                deps: &deps_of[i],
             })
             .collect();
         build(&ffns)
@@ -503,6 +538,35 @@ mod tests {
             .collect();
         callees.sort_unstable();
         assert_eq!(callees, vec!["run", "step"]);
+    }
+
+    #[test]
+    fn inherent_methods_resolve_only_within_the_dependency_closure() {
+        let files = [
+            (
+                "a",
+                "crates/a/src/lib.rs",
+                "pub trait Run { fn run(&self); }\n\
+                 fn top<R: Run>(x: &X, r: &R) { x.build(); r.run(); }",
+            ),
+            (
+                "b",
+                "crates/b/src/lib.rs",
+                "impl W { pub fn build(&self) {} }\nimpl a::Run for W { fn run(&self) {} }",
+            ),
+        ];
+        let callees = |g: &Graph| {
+            let top = idx(g, "top");
+            let mut names: Vec<&str> = (g.edges[top].iter())
+                .map(|e| g.fns[e.callee].def.name.as_str())
+                .collect();
+            names.sort_unstable();
+            names.join(",")
+        };
+        // `b` depends on `a`, so `a` reaches only `b`'s trait impl.
+        assert_eq!(callees(&graph_with_deps(&files, &["a"])), "run");
+        // Were `a` to depend on `b` too, the inherent `build` would link.
+        assert_eq!(callees(&graph_with_deps(&files, &["a", "b"])), "build,run");
     }
 
     #[test]

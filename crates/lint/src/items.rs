@@ -48,6 +48,10 @@ pub struct FnDef {
     /// Self type when defined inside `impl Type { … }` or a trait's
     /// default method inside `trait Type { … }`.
     pub impl_type: Option<String>,
+    /// Whether the function is a trait method: defined in
+    /// `impl Trait for Type { … }` or in `trait Trait { … }`. Generic code
+    /// can dispatch to it from any crate.
+    pub trait_method: bool,
     /// 1-based line of the `fn` name.
     pub line: u32,
     /// Token index range of the body, inclusive of both braces.
@@ -115,7 +119,7 @@ pub fn parse_file(src: &str, lx: &Lexed, file_mods: &[String]) -> ParsedFile {
     };
     let n = lx.tokens.len();
     let mut mods: Vec<String> = file_mods.to_vec();
-    p.region(0, n, &mut mods, None, None);
+    p.region(0, n, &mut mods, None, false, None);
     p.out
 }
 
@@ -199,6 +203,7 @@ impl<'a> Parser<'a> {
         to: usize,
         mods: &mut Vec<String>,
         impl_type: Option<&str>,
+        in_trait: bool,
         current_fn: Option<usize>,
     ) {
         let mut i = from;
@@ -212,18 +217,18 @@ impl<'a> Parser<'a> {
                     let name = self.text(i + 1).to_string();
                     let close = self.match_brace(i + 2);
                     mods.push(name);
-                    self.region(i + 3, close, mods, impl_type, current_fn);
+                    self.region(i + 3, close, mods, impl_type, in_trait, current_fn);
                     mods.pop();
                     i = close + 1;
                 }
                 "impl" => {
-                    let (ty, open) = self.impl_header(i + 1, to);
+                    let (ty, open, of_trait) = self.impl_header(i + 1, to);
                     let Some(open) = open else {
                         i += 1;
                         continue;
                     };
                     let close = self.match_brace(open);
-                    self.region(open + 1, close, mods, ty.as_deref(), None);
+                    self.region(open + 1, close, mods, ty.as_deref(), of_trait, None);
                     i = close + 1;
                 }
                 "trait" if self.is_ident(i + 1) => {
@@ -235,14 +240,14 @@ impl<'a> Parser<'a> {
                     }
                     if self.is_punct(k, "{") {
                         let close = self.match_brace(k);
-                        self.region(k + 1, close, mods, Some(&name), None);
+                        self.region(k + 1, close, mods, Some(&name), true, None);
                         i = close + 1;
                     } else {
                         i = k + 1;
                     }
                 }
                 "fn" if self.is_ident(i + 1) => {
-                    i = self.fn_def(i, to, mods, impl_type);
+                    i = self.fn_def(i, to, mods, impl_type, in_trait);
                 }
                 "use" => {
                     let mut end = i + 1;
@@ -265,17 +270,19 @@ impl<'a> Parser<'a> {
 
     /// Parses an impl header starting after the `impl` keyword. Returns
     /// the self type (last path ident before the body, after the last
-    /// top-level `for`) and the index of the opening `{`.
-    fn impl_header(&self, mut i: usize, to: usize) -> (Option<String>, Option<usize>) {
+    /// top-level `for`), the index of the opening `{`, and whether the
+    /// header implements a trait (a top-level `for` before any `where`).
+    fn impl_header(&self, mut i: usize, to: usize) -> (Option<String>, Option<usize>, bool) {
         i = self.skip_generics(i);
         let mut last_ident: Option<String> = None;
         let mut frozen = false;
+        let mut of_trait = false;
         while i < to {
             if self.is_punct(i, "{") {
-                return (last_ident, Some(i));
+                return (last_ident, Some(i), of_trait);
             }
             if self.is_punct(i, ";") {
-                return (last_ident, None);
+                return (last_ident, None, of_trait);
             }
             if self.is_punct(i, "<") {
                 i = self.skip_generics(i);
@@ -283,7 +290,10 @@ impl<'a> Parser<'a> {
             }
             if self.is_ident(i) {
                 match self.text(i) {
-                    "for" => last_ident = None,
+                    "for" if !frozen => {
+                        last_ident = None;
+                        of_trait = true;
+                    }
                     "where" => frozen = true,
                     t if !frozen => last_ident = Some(t.to_string()),
                     _ => {}
@@ -291,7 +301,7 @@ impl<'a> Parser<'a> {
             }
             i += 1;
         }
-        (last_ident, None)
+        (last_ident, None, of_trait)
     }
 
     /// Parses `fn name …` at `i`; records a [`FnDef`] if a body follows
@@ -302,6 +312,7 @@ impl<'a> Parser<'a> {
         to: usize,
         mods: &mut Vec<String>,
         impl_type: Option<&str>,
+        in_trait: bool,
     ) -> usize {
         let name = self.text(i + 1).to_string();
         let line = self.lx.tokens[i + 1].line;
@@ -344,11 +355,12 @@ impl<'a> Parser<'a> {
             name,
             module: mods.clone(),
             impl_type: impl_type.map(str::to_string),
+            trait_method: in_trait,
             line,
             body: (k, close),
             calls: Vec::new(),
         });
-        self.region(k + 1, close, mods, impl_type, Some(idx));
+        self.region(k + 1, close, mods, impl_type, in_trait, Some(idx));
         close + 1
     }
 
@@ -519,6 +531,31 @@ impl std::fmt::Display for Wide<'_> {
         let src = "impl<P: Problem> Replica for Runner<P> where P: Send { fn go(&self) {} }";
         let p = parse(src);
         assert_eq!(p.fns[0].impl_type.as_deref(), Some("Runner"));
+    }
+
+    #[test]
+    fn trait_methods_are_marked() {
+        let src = "
+impl S { fn inherent(&self) {} }
+impl<T> a::Tr for S<T> where T: for<'x> Fn(&'x u8) { fn implemented(&self) {} }
+trait Tr { fn sig(&self); fn provided(&self) { inner(); } }
+impl<F> S<F> where F: for<'x> Fn(&'x u8) { fn bounded(&self) {} }
+";
+        let p = parse(src);
+        let marks: Vec<_> = p
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.trait_method))
+            .collect();
+        assert_eq!(
+            marks,
+            vec![
+                ("inherent", false),
+                ("implemented", true),
+                ("provided", true),
+                ("bounded", false),
+            ]
+        );
     }
 
     #[test]

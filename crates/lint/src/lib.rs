@@ -291,6 +291,7 @@ pub fn run_repo(root: &Path, opts: Options) -> Result<LintReport, EngineError> {
     }
 
     // Pass 2: the call graph and the four interprocedural analyses.
+    let closure = ws.dependency_closure();
     let ffns: Vec<FileFns<'_>> = units
         .iter()
         .zip(&parsed)
@@ -301,6 +302,7 @@ pub fn run_repo(root: &Path, opts: Options) -> Result<LintReport, EngineError> {
             krate: &u.krate,
             parsed: p,
             test_mask: &u.test_mask,
+            deps: closure.get(&u.krate).map_or(&[], Vec::as_slice),
         })
         .collect();
     let graph = callgraph::build(&ffns);

@@ -8,6 +8,7 @@
 //! `benches/` and `examples/` are test code by definition, and lint
 //! fixtures under `tests/fixtures/` contain deliberate violations.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -24,6 +25,10 @@ pub struct CrateInfo {
     pub src_files: Vec<PathBuf>,
     /// Whether the crate has a `src/lib.rs`.
     pub has_lib: bool,
+    /// Package names of the crate's build dependencies (`[dependencies]`,
+    /// `[build-dependencies]` and their per-target forms; not
+    /// `[dev-dependencies]`), workspace members or not.
+    pub deps: Vec<String>,
 }
 
 /// The discovered workspace.
@@ -31,6 +36,36 @@ pub struct CrateInfo {
 pub struct Workspace {
     /// Members sorted by name.
     pub crates: Vec<CrateInfo>,
+}
+
+impl Workspace {
+    /// Every member's transitive dependencies among the workspace
+    /// members, by package name (itself excluded), each list sorted.
+    pub fn dependency_closure(&self) -> BTreeMap<String, Vec<String>> {
+        let direct: BTreeMap<&str, &[String]> = self
+            .crates
+            .iter()
+            .map(|c| (c.name.as_str(), c.deps.as_slice()))
+            .collect();
+        let mut closure = BTreeMap::new();
+        for krate in &self.crates {
+            let mut seen: BTreeSet<&str> = BTreeSet::new();
+            let mut stack: Vec<&str> = krate.deps.iter().map(String::as_str).collect();
+            while let Some(dep) = stack.pop() {
+                let Some(next) = direct.get(dep) else {
+                    continue; // not a workspace member
+                };
+                if dep != krate.name && seen.insert(dep) {
+                    stack.extend(next.iter().map(String::as_str));
+                }
+            }
+            closure.insert(
+                krate.name.clone(),
+                seen.into_iter().map(str::to_string).collect(),
+            );
+        }
+        closure
+    }
 }
 
 /// Discovery failures, tagged with the path that failed.
@@ -98,6 +133,7 @@ pub fn discover(root: &Path) -> Result<Workspace, WalkError> {
             .map(|p| p.strip_prefix(root).unwrap_or(&p).to_path_buf())
             .collect::<Vec<_>>();
         ws.crates.push(CrateInfo {
+            deps: dependency_names(&manifest),
             name,
             has_lib: src.join("lib.rs").is_file(),
             dir: dir.strip_prefix(root).unwrap_or(&dir).to_path_buf(),
@@ -142,9 +178,79 @@ fn package_name(manifest: &str) -> Option<String> {
     None
 }
 
+/// The dependency names a manifest declares for its library code: the
+/// `[dependencies]` table, its per-target forms and `[dependencies.name]`
+/// sub-tables. Dev- and build-dependencies and a workspace's
+/// `[workspace.dependencies]` are left out.
+fn dependency_names(manifest: &str) -> Vec<String> {
+    let is_deps = |table: &str| {
+        table == "dependencies"
+            || (table.ends_with(".dependencies") && !table.starts_with("workspace"))
+    };
+    let mut names = Vec::new();
+    let mut in_deps = false;
+    for raw in manifest.lines() {
+        let line = raw.trim();
+        if let Some(section) = line.strip_prefix('[') {
+            let section = section.trim_end_matches(']').trim();
+            in_deps = is_deps(section);
+            if let Some((_, name)) = section.rsplit_once('.').filter(|(t, _)| is_deps(t)) {
+                names.push(name.trim_matches('"').to_string());
+            }
+            continue;
+        }
+        let key = line.split(['=', '.']).next().unwrap_or_default().trim();
+        if in_deps && !key.is_empty() && !key.starts_with('#') {
+            names.push(key.trim_matches('"').to_string());
+        }
+    }
+    names.sort();
+    names.dedup();
+    names
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dependency_names_cover_library_dependencies_only() {
+        let manifest = "[package]\nname = \"x\"\n[dependencies]\n# a comment\n\
+                        rowfpga-arch.workspace = true\nrand = { path = \"../rand\" }\n\
+                        [dev-dependencies]\nproptest.workspace = true\n\
+                        [build-dependencies]\ncc = \"1\"\n\
+                        [target.'cfg(unix)'.dependencies]\nlibc = \"0.2\"\n\
+                        [dependencies.serde]\nversion = \"1\"\n[features]\nx = []\n\
+                        [workspace.dependencies]\nunused = \"1\"\n";
+        assert_eq!(
+            dependency_names(manifest),
+            vec!["libc", "rand", "rowfpga-arch", "serde"]
+        );
+    }
+
+    #[test]
+    fn dependency_closure_is_transitive_and_workspace_only() {
+        let member = |name: &str, deps: &[&str]| CrateInfo {
+            name: name.to_string(),
+            dir: PathBuf::new(),
+            src_files: Vec::new(),
+            has_lib: true,
+            deps: deps.iter().map(|d| d.to_string()).collect(),
+        };
+        let ws = Workspace {
+            crates: vec![
+                member("a", &["b", "external"]),
+                member("b", &["c"]),
+                member("c", &["b"]),
+                member("d", &[]),
+            ],
+        };
+        let closure = ws.dependency_closure();
+        assert_eq!(closure["a"], vec!["b", "c"]);
+        assert_eq!(closure["b"], vec!["c"]);
+        assert_eq!(closure["c"], vec!["b"]);
+        assert!(closure["d"].is_empty());
+    }
 
     #[test]
     fn package_name_parses_the_package_table_only() {

@@ -144,15 +144,19 @@ fn interproc_repo_fires_each_analysis_with_a_chain() {
 }
 
 /// Builds a throwaway repo under the OS temp dir: one crate per
-/// `(package name, lib.rs body)` pair, each in `crates/<name>`.
-fn write_repo(tag: &str, crates: &[(&str, &str)], budget: &str) -> PathBuf {
+/// `(package name, dependencies, lib.rs body)`, each in `crates/<name>`.
+fn write_repo(tag: &str, crates: &[(&str, &[&str], &str)], budget: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("rowfpga-lint-{}-{tag}", std::process::id()));
-    for (name, body) in crates {
+    for (name, deps, body) in crates {
         let dir = root.join("crates").join(name);
         fs::create_dir_all(dir.join("src")).unwrap();
+        let deps: String = deps
+            .iter()
+            .map(|d| format!("{d} = {{ path = \"../{d}\" }}\n"))
+            .collect();
         fs::write(
             dir.join("Cargo.toml"),
-            format!("[package]\nname = \"{name}\"\nversion = \"0.1.0\"\n"),
+            format!("[package]\nname = \"{name}\"\nversion = \"0.1.0\"\n[dependencies]\n{deps}"),
         )
         .unwrap();
         let lib = format!("#![forbid(unsafe_code)]\n//! Scratch fixture.\n{body}");
@@ -169,7 +173,7 @@ fn scratch_repo(tag: &str, panic_sites: usize, budget: &str) -> PathBuf {
             format!("/// Site {i}.\npub fn site_{i}(x: Option<u32>) -> u32 {{ x.unwrap() }}\n")
         })
         .collect();
-    write_repo(tag, &[("demo", &body)], budget)
+    write_repo(tag, &[("demo", &[], &body)], budget)
 }
 
 /// A solver crate's `step` calls `util::stamp`, which reads the clock.
@@ -184,7 +188,11 @@ fn taint_is_reported_directly_and_honours_its_suppressions() {
             "/// Reads the clock.\npub fn stamp() -> u64 {{\n{read}    \
              std::time::Instant::now().elapsed().as_millis() as u64\n}}\n"
         );
-        let root = write_repo(tag, &[("rowfpga-core", &step), ("util", &stamp)], budget);
+        let root = write_repo(
+            tag,
+            &[("rowfpga-core", &["util"], &step), ("util", &[], &stamp)],
+            budget,
+        );
         let report = run_repo(&root, Options::default()).unwrap();
         fs::remove_dir_all(&root).unwrap();
         report
@@ -226,7 +234,7 @@ fn a_call_resolving_to_two_tainted_impls_is_one_finding() {
                 impl B {\n    /// Stamps.\n    pub fn tick(&self) -> u64 {\n        stamp()\n    }\n}\n";
     let root = write_repo(
         "two-impls",
-        &[("rowfpga-core", step), ("util", util)],
+        &[("rowfpga-core", &["util"], step), ("util", &[], util)],
         "[panics]\n",
     );
     let report = run_repo(&root, Options::default()).unwrap();
@@ -239,6 +247,37 @@ fn a_call_resolving_to_two_tainted_impls_is_one_finding() {
         taint[0].chain.iter().any(|f| f.contains("stamp")),
         "{taint:?}"
     );
+}
+
+/// `b` depends on `a`. From `a`'s `no-panic` entry, `spec.build()` may
+/// only mean `a`'s own inherent `build`, never `b`'s, whose indexing site
+/// stays unreached; the generic `r.run()` can dispatch to `b`'s impl of
+/// `a`'s trait, whose indexing site is reached.
+#[test]
+fn method_calls_resolve_into_reachable_crates_and_trait_impls() {
+    let a = "// rowfpga-lint: no-panic\n\
+             /// Runs.\npub trait Run {\n    /// Runs.\n    fn run(&self) -> u32;\n}\n\
+             /// A spec.\npub struct Spec;\n\
+             impl Spec {\n    /// Builds.\n    pub fn build(&self) -> u32 {\n        7\n    }\n}\n\
+             /// Drives.\npub fn drive<R: Run>(spec: &Spec, r: &R) -> u32 {\n    \
+             spec.build() + r.run()\n}\n";
+    let b = "/// A widget.\npub struct W {\n    v: Vec<u32>,\n}\n\
+             impl W {\n    /// Builds.\n    pub fn build(&self) -> u32 {\n        self.v[0]\n    }\n}\n\
+             impl a::Run for W {\n    fn run(&self) -> u32 {\n        self.v[1]\n    }\n}\n";
+    let root = write_repo(
+        "reachable-crates",
+        &[("a", &[], a), ("b", &["a"], b)],
+        "[panics]\n[reachability]\na = 0\n",
+    );
+    let report = run_repo(&root, Options::default()).unwrap();
+    fs::remove_dir_all(&root).unwrap();
+    assert_eq!(report.reach_counts.get("a"), Some(&1), "{report:?}");
+    let reached: Vec<_> = (report.violations.iter())
+        .filter(|v| v.lint == "reachability")
+        .map(|v| (v.file.as_str(), v.line))
+        .collect();
+    // `b`'s lib.rs: two header lines, then `self.v[1]` on line 15.
+    assert_eq!(reached, vec![("crates/b/src/lib.rs", 15)]);
 }
 
 #[test]

@@ -10,7 +10,7 @@
 use rowfpga_arch::Architecture;
 use rowfpga_netlist::{NetId, Netlist};
 
-use crate::pins::net_pin_locs;
+use crate::pins::pin_loc;
 use crate::placement::Placement;
 
 /// The bounding box of a net's pin locations.
@@ -39,14 +39,14 @@ impl NetBbox {
         placement: &Placement,
         net: NetId,
     ) -> NetBbox {
-        let locs = net_pin_locs(arch, netlist, placement, net);
         let mut bbox = NetBbox {
             col_min: usize::MAX,
             col_max: 0,
             chan_min: usize::MAX,
             chan_max: 0,
         };
-        for l in &locs {
+        for pin in netlist.net(net).pins() {
+            let l = pin_loc(arch, netlist, placement, pin);
             bbox.col_min = bbox.col_min.min(l.col.index());
             bbox.col_max = bbox.col_max.max(l.col.index());
             bbox.chan_min = bbox.chan_min.min(l.channel.index());
@@ -149,6 +149,7 @@ impl CongestionMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pins::net_pin_locs;
     use rowfpga_netlist::{generate, CellId, GenerateConfig};
 
     fn setup() -> (Architecture, Netlist, Placement) {

@@ -1,6 +1,5 @@
 //! The placement data structure.
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -66,8 +65,28 @@ pub struct Placement {
     site_of: Vec<SiteId>,
     cell_at: Vec<Option<CellId>>,
     pinmap_choice: Vec<u16>,
-    /// Palette per cell kind, shared across cells of the same kind.
-    palettes: BTreeMap<CellKind, Vec<Pinmap>>,
+    /// Per cell, the slot of its kind's palette in `palettes`.
+    palette_slot: Vec<u16>,
+    /// One pinmap palette per cell kind of the netlist, in kind order,
+    /// shared across cells of the same kind.
+    palettes: Vec<(CellKind, Vec<Pinmap>)>,
+}
+
+/// The palette of every cell kind in `netlist`, in kind order, and each
+/// cell's slot among them.
+fn palettes_of(netlist: &Netlist) -> (Vec<(CellKind, Vec<Pinmap>)>, Vec<u16>) {
+    let mut kinds: Vec<CellKind> = Vec::new();
+    for (_, c) in netlist.cells() {
+        if let Err(at) = kinds.binary_search(&c.kind()) {
+            kinds.insert(at, c.kind());
+        }
+    }
+    let slots = netlist
+        .cells()
+        .map(|(_, c)| kinds.binary_search(&c.kind()).unwrap_or_default() as u16)
+        .collect();
+    let palettes = kinds.into_iter().map(|k| (k, pinmap_palette(k))).collect();
+    (palettes, slots)
 }
 
 impl Placement {
@@ -128,17 +147,12 @@ impl Placement {
             cell_at[site.index()] = Some(*cell);
         }
 
-        let mut palettes = BTreeMap::new();
-        for (_, cell) in netlist.cells() {
-            palettes
-                .entry(cell.kind())
-                .or_insert_with(|| pinmap_palette(cell.kind()));
-        }
-
+        let (palettes, palette_slot) = palettes_of(netlist);
         Ok(Placement {
             site_of,
             cell_at,
             pinmap_choice: vec![0; netlist.num_cells()],
+            palette_slot,
             palettes,
         })
     }
@@ -181,12 +195,7 @@ impl Placement {
                 ),
             });
         }
-        let mut palettes = BTreeMap::new();
-        for (_, cell) in netlist.cells() {
-            palettes
-                .entry(cell.kind())
-                .or_insert_with(|| pinmap_palette(cell.kind()));
-        }
+        let (palettes, palette_slot) = palettes_of(netlist);
         let mut site_of = vec![SiteId::new(0); netlist.num_cells()];
         let mut cell_at: Vec<Option<CellId>> = vec![None; geom.num_sites()];
         for (id, cell) in netlist.cells() {
@@ -216,7 +225,7 @@ impl Placement {
                     detail: format!("site {s} assigned to both {prev} and {id}"),
                 });
             }
-            let palette_len = palettes[&cell.kind()].len();
+            let palette_len = palettes[palette_slot[id.index()] as usize].1.len();
             if pinmaps[id.index()] as usize >= palette_len {
                 return Err(CreatePlacementError::InvalidAssignment {
                     detail: format!(
@@ -232,6 +241,7 @@ impl Placement {
             site_of,
             cell_at,
             pinmap_choice: pinmaps.to_vec(),
+            palette_slot,
             palettes,
         })
     }
@@ -265,13 +275,19 @@ impl Placement {
     ///
     /// Panics if `cell` is out of range.
     pub fn pinmap<'a>(&'a self, netlist: &Netlist, cell: CellId) -> &'a Pinmap {
-        let kind = netlist.cell(cell).kind();
-        &self.palettes[&kind][self.pinmap_choice[cell.index()] as usize]
+        let (kind, palette) = &self.palettes[self.palette_slot[cell.index()] as usize];
+        debug_assert_eq!(*kind, netlist.cell(cell).kind());
+        &palette[self.pinmap_choice[cell.index()] as usize]
     }
 
-    /// The pinmap palette of a cell kind.
+    /// The pinmap palette of a cell kind (empty for a kind the netlist
+    /// does not use).
     pub fn palette(&self, kind: CellKind) -> &[Pinmap] {
-        &self.palettes[&kind]
+        self.palettes
+            .binary_search_by_key(&kind, |(k, _)| *k)
+            .ok()
+            .and_then(|i| self.palettes.get(i))
+            .map_or(&[], |(_, palette)| palette.as_slice())
     }
 
     /// Sets `cell`'s pinmap and returns the previous index.
@@ -282,7 +298,7 @@ impl Placement {
     pub fn set_pinmap(&mut self, netlist: &Netlist, cell: CellId, index: u16) -> u16 {
         let kind = netlist.cell(cell).kind();
         assert!(
-            (index as usize) < self.palettes[&kind].len(),
+            (index as usize) < self.palette(kind).len(),
             "pinmap index {index} out of range for {kind:?}"
         );
         std::mem::replace(&mut self.pinmap_choice[cell.index()], index)
@@ -373,7 +389,7 @@ impl Placement {
                     site.kind()
                 ));
             }
-            let palette_len = self.palettes[&cell.kind()].len();
+            let palette_len = self.palette(cell.kind()).len();
             if self.pinmap_choice[id.index()] as usize >= palette_len {
                 return Err(format!(
                     "cell {id} pinmap index {} out of palette (len {palette_len})",

@@ -49,16 +49,6 @@ pub fn detail_route_pass(
     channels.extend(state.dirty_channels());
     let mut queue = std::mem::take(&mut state.scratch.dqueue);
     for &channel in &channels {
-        // Retry skip: if the channel's horizontal occupancy and `U_D`
-        // membership are unchanged since a pass that left failures here,
-        // every queued attempt is doomed to fail identically — count the
-        // failures without re-scanning the tracks. Failed attempts have no
-        // side effects, so the skip is exact (bit-identical results).
-        let key = state.detail_retry_key(channel);
-        if state.detail_attempt(channel) == key {
-            failures += state.ud_len(channel);
-            continue;
-        }
         // Longest spans first: they have the fewest feasible tracks.
         queue.clear();
         // A queued net always has a span in its channel; if that invariant
@@ -70,17 +60,8 @@ pub fn detail_route_pass(
         }));
         queue.sort_by(|a, b| (b.2 - b.1).cmp(&(a.2 - a.1)).then(a.0.cmp(&b.0)));
 
-        let mut failed_here = false;
         for &(net, lo, hi) in &queue {
             let (lo, hi) = (lo as usize, hi as usize);
-            // Pair-level retry skip: the channel changed since its last
-            // recorded pass, but this particular span may still be
-            // untouched — then its last failure is guaranteed to repeat.
-            if state.detail_retry_doomed(net, channel, lo, hi) {
-                failures += 1;
-                failed_here = true;
-                continue;
-            }
             if let Some((t, i, j)) = find_track_run_idx(state, arch, channel, lo, hi, cfg) {
                 let mut run = state.take_run();
                 run.extend(
@@ -92,12 +73,7 @@ pub fn detail_route_pass(
                 routed += 1;
             } else {
                 failures += 1;
-                failed_here = true;
-                state.record_detail_failure(net, channel);
             }
-        }
-        if failed_here {
-            state.record_detail_attempt(channel);
         }
     }
     state.scratch.channels = channels;
@@ -109,6 +85,12 @@ pub fn detail_route_pass(
 /// `channel` covering columns `lo..=hi`, returned as `(track index, first
 /// segment index, last segment index)` so the caller materializes segment
 /// ids exactly once — or `None` if every track is blocked.
+///
+/// The feasible tracks come from the state's free-track masks (one AND per
+/// column of the span), so a blocked span costs no segment probe. They are
+/// scored in ascending track order, and a track replaces the incumbent only
+/// if it is cheaper by more than 1e-12 or ties with fewer segments: the
+/// first winner stays.
 pub(crate) fn find_track_run_idx(
     state: &RoutingState,
     arch: &Architecture,
@@ -118,37 +100,41 @@ pub(crate) fn find_track_run_idx(
     cfg: &RouterConfig,
 ) -> Option<(usize, usize, usize)> {
     debug_assert!(lo <= hi);
+    let tracks = arch.channel_tracks(channel);
     let mut best: Option<(f64, usize, (usize, usize, usize))> = None;
-    for (t, track) in arch.channel_tracks(channel).iter().enumerate() {
-        let Some(i) = track.segment_at(ColId::new(lo)) else {
-            continue;
-        };
-        let Some(j) = track.segment_at(ColId::new(hi)) else {
-            continue;
-        };
-        let segs = &track.segments()[i..=j];
-        // Cost depends on the segmentation alone, not on occupancy, and is
-        // much cheaper than the ownership scan — so score first and only
-        // probe occupancy for tracks that would actually displace the
-        // incumbent. (Segments of a run are contiguous, so the covered
-        // width is just the outer boundary difference.)
-        let covered = segs[segs.len() - 1].end() - segs[0].start();
-        let wastage = covered - (hi - lo + 1);
-        let count = j - i + 1;
-        let cost = cfg.wastage_weight * wastage as f64 + cfg.segment_weight * count as f64;
-        let better = match &best {
-            None => true,
-            Some((bc, bcount, _)) => {
-                cost < *bc - 1e-12 || ((cost - *bc).abs() <= 1e-12 && count < *bcount)
+    for w in 0..state.track_words() {
+        let mut feasible = state.free_tracks(channel, lo, hi, w);
+        while feasible != 0 {
+            let t = w * 64 + feasible.trailing_zeros() as usize;
+            feasible &= feasible - 1;
+            let Some(track) = tracks.get(t) else {
+                break;
+            };
+            let (Some(i), Some(j)) = (
+                track.segment_at(ColId::new(lo)),
+                track.segment_at(ColId::new(hi)),
+            ) else {
+                continue;
+            };
+            let (Some(first), Some(last)) = (track.segments().get(i), track.segments().get(j))
+            else {
+                continue;
+            };
+            // Segments of a run are contiguous, so the covered width is
+            // just the outer boundary difference.
+            let wastage = last.end() - first.start() - (hi - lo + 1);
+            let count = j - i + 1;
+            let cost = cfg.wastage_weight * wastage as f64 + cfg.segment_weight * count as f64;
+            let better = match &best {
+                None => true,
+                Some((bc, bcount, _)) => {
+                    cost < *bc - 1e-12 || ((cost - *bc).abs() <= 1e-12 && count < *bcount)
+                }
+            };
+            if better {
+                best = Some((cost, count, (t, i, j)));
             }
-        };
-        if !better {
-            continue;
         }
-        if segs.iter().any(|s| state.hseg_owner(s.id()).is_some()) {
-            continue;
-        }
-        best = Some((cost, count, (t, i, j)));
     }
     best.map(|(_, _, run)| run)
 }

@@ -55,31 +55,20 @@ pub(crate) struct PassScratch {
     pub gqueue: Vec<(NetId, NetRequirements)>,
 }
 
-/// Monotonic change counters for skipping doomed routing retries.
+/// Monotonic change counters for skipping doomed global-routing retries.
 ///
-/// A failed routing attempt has no side effects, and its outcome is a
-/// deterministic function of segment occupancy (plus the net's span
-/// requirements, which cannot change while the net stays queued: any route
+/// A failed chain search has no side effects, and its outcome is a
+/// deterministic function of vertical-segment occupancy (plus the net's
+/// channel range, which cannot change while the net stays queued: any route
 /// or placement change re-enqueues it, clearing its stamp). So a failure
-/// observed at counter value `c` is guaranteed to repeat while the counter
-/// still reads `c` — the passes record the counter alongside each failure
-/// and skip the retry until relevant state has actually changed. Counters
-/// start at 1 and stamps at 0, so nothing is skipped before its first
-/// attempt; stale stamps can only cause harmless extra retries, never a
-/// false skip.
+/// observed at clock value `c` is guaranteed to repeat while no vertical
+/// segment over the net's range has been released since — the global pass
+/// records the clock alongside each failure and skips the retry until then.
+/// Counters start at 1 and stamps at 0, so nothing is skipped before its
+/// first attempt; stale stamps can only cause harmless extra retries, never
+/// a false skip.
 #[derive(Clone, Debug)]
 struct RetryStamps {
-    /// Per-channel counter, bumped whenever a horizontal segment of the
-    /// channel is *released*. Claims deliberately do not bump it: a failed
-    /// track scan means every feasible track is blocked, a condition
-    /// claims can only preserve.
-    chan_mod: Vec<u64>,
-    /// Per-channel counter, bumped whenever a net enters the channel's
-    /// `U_D` queue (departures cannot un-doom the remaining members).
-    chan_queue_gen: Vec<u64>,
-    /// `(chan_mod, chan_queue_gen)` observed when a detail pass last left
-    /// the channel with failures; `(0, 0)` = attempt normally.
-    chan_attempt: Vec<(u64, u64)>,
     /// Logical clock of vertical-segment *releases*, bumped once per
     /// release batch. Claims deliberately do not advance it: the greedy
     /// chain search is a complete interval-covering search, so its failure
@@ -100,62 +89,23 @@ struct RetryStamps {
     /// Per-vseg `(chan_lo, chan_hi)`, for stamping `vchan_mod` on release
     /// without consulting the architecture.
     vseg_span: Vec<(u32, u32)>,
-    /// Logical clock of horizontal-segment *releases*, bumped once per
-    /// release batch. Claims deliberately do not advance it: a failed
-    /// track scan means every feasible track is blocked, a condition
-    /// claims can only preserve.
-    htick: u64,
-    /// Per-(channel, column) `htick` of the last horizontal-segment
-    /// release covering the column (flat `channel × num_cols` grid). A
-    /// failed track scan for a span is a function of exactly the channel's
-    /// segments intersecting that span's columns.
-    hcol_mod: Vec<u64>,
-    /// Per-(channel, net) `htick` at the pair's last failed detail attempt
-    /// (flat `channel × num_nets` grid); 0 = attempt normally. Cleared when
-    /// the net re-enters the channel's `U_D` (its span may have changed).
-    detail_fail: Vec<u64>,
-    /// Per-hseg `(channel, start_col, end_col)`, end exclusive, for bumping
-    /// `hcol_mod` from ownership edits.
-    hseg_span: Vec<(u32, u32, u32)>,
-    /// Column count, for indexing the `hcol_mod` grid.
-    num_cols: u32,
-    /// Net count, for indexing the `detail_fail` grid.
-    num_nets: u32,
 }
 
 impl RetryStamps {
     fn new(arch: &Architecture, num_nets: usize) -> RetryStamps {
         let num_channels = arch.geometry().num_channels();
-        let num_cols = arch.geometry().num_cols();
         let vseg_span = (0..arch.num_vsegs())
             .map(|i| {
                 let s = arch.vseg(VSegId::new(i));
                 (s.chan_lo().index() as u32, s.chan_hi().index() as u32)
             })
             .collect();
-        let mut hseg_span = vec![(0, 0, 0); arch.num_hsegs()];
-        for c in 0..num_channels {
-            for track in arch.channel_tracks(ChannelId::new(c)) {
-                for s in track.segments() {
-                    hseg_span[s.id().index()] = (c as u32, s.start() as u32, s.end() as u32);
-                }
-            }
-        }
         RetryStamps {
-            chan_mod: vec![1; num_channels],
-            chan_queue_gen: vec![1; num_channels],
-            chan_attempt: vec![(0, 0); num_channels],
             vtick: 1,
             vchan_mod: vec![1; num_channels],
             global_fail: vec![0; num_nets],
             global_fail_range: vec![(0, 0); num_nets],
             vseg_span,
-            htick: 1,
-            hcol_mod: vec![1; num_channels * num_cols],
-            detail_fail: vec![0; num_channels * num_nets],
-            hseg_span,
-            num_cols: num_cols as u32,
-            num_nets: num_nets as u32,
         }
     }
 
@@ -166,14 +116,112 @@ impl RetryStamps {
         let (lo, hi) = self.vseg_span[vseg];
         self.vchan_mod[lo as usize..=hi as usize].fill(self.vtick);
     }
+}
 
-    /// Stamps every (channel, column) covered by `hseg` with a fresh tick.
-    fn touch_hseg(&mut self, hseg: usize) {
-        let (c, s, e) = self.hseg_span[hseg];
-        let base = c as usize * self.num_cols as usize;
-        for col in s..e {
-            self.hcol_mod[base + col as usize] = self.htick;
+/// The detailed router's free tracks at every (channel, column), as
+/// bitmasks.
+///
+/// Bit `t` of a column's mask is set while the segment of track `t` over
+/// that column is free, so the tracks on which a span `lo..=hi` can be
+/// routed are the AND of the masks of its columns: a run covering the span
+/// consists of exactly the segments of one track over those columns. A
+/// claim or release flips one bit in each column of one segment.
+#[derive(Clone, Debug)]
+struct TrackMasks {
+    /// Mask words per (channel, column): `ceil(tracks / 64)` over the
+    /// widest channel.
+    words: usize,
+    /// Column count, for indexing `free`.
+    num_cols: usize,
+    /// Free-track masks, flat `channel × column × words`.
+    free: Vec<u64>,
+    /// Per-hseg `(channel, track, start_col, end_col)`, end exclusive.
+    span: Vec<(u32, u32, u32, u32)>,
+}
+
+impl TrackMasks {
+    /// All segments free.
+    fn new(arch: &Architecture) -> TrackMasks {
+        let num_channels = arch.geometry().num_channels();
+        let num_cols = arch.geometry().num_cols();
+        let widest = (0..num_channels)
+            .map(|c| arch.channel_tracks(ChannelId::new(c)).len())
+            .max()
+            .unwrap_or(0);
+        let words = widest.div_ceil(64).max(1);
+        let mut masks = TrackMasks {
+            words,
+            num_cols,
+            free: vec![0; num_channels * num_cols * words],
+            span: vec![(0, 0, 0, 0); arch.num_hsegs()],
+        };
+        for c in 0..num_channels {
+            for (t, track) in arch.channel_tracks(ChannelId::new(c)).iter().enumerate() {
+                for s in track.segments() {
+                    masks.span[s.id().index()] =
+                        (c as u32, t as u32, s.start() as u32, s.end() as u32);
+                    masks.release(s.id().index());
+                }
+            }
         }
+        masks
+    }
+
+    /// Sets (`free`) or clears the bit of `hseg` in every column it
+    /// covers.
+    fn mark(&mut self, hseg: usize, free: bool) {
+        let Some(&(c, t, start, end)) = self.span.get(hseg) else {
+            return;
+        };
+        let bit = 1u64 << (t % 64);
+        let first = (c as usize * self.num_cols + start as usize) * self.words + t as usize / 64;
+        let last = first + (end - start).saturating_sub(1) as usize * self.words;
+        let Some(cols) = self.free.get_mut(first..=last) else {
+            return;
+        };
+        for word in cols.iter_mut().step_by(self.words) {
+            if free {
+                *word |= bit;
+            } else {
+                *word &= !bit;
+            }
+        }
+    }
+
+    fn claim(&mut self, hseg: usize) {
+        self.mark(hseg, false);
+    }
+
+    fn release(&mut self, hseg: usize) {
+        self.mark(hseg, true);
+    }
+
+    /// Word `w` of the tracks free over every column of `lo..=hi` in
+    /// `channel` (0 when the span leaves the channel).
+    fn free_over(&self, channel: usize, lo: usize, hi: usize, w: usize) -> u64 {
+        if hi >= self.num_cols {
+            return 0;
+        }
+        let base = channel * self.num_cols;
+        let first = (base + lo) * self.words + w;
+        let last = (base + hi) * self.words + w;
+        let Some(cols) = self.free.get(first..=last) else {
+            return 0;
+        };
+        let mut feasible = !0u64;
+        for &m in cols.iter().step_by(self.words) {
+            feasible &= m;
+            if feasible == 0 {
+                break;
+            }
+        }
+        feasible
+    }
+
+    /// The mask words of (`channel`, `col`).
+    fn at(&self, channel: usize, col: usize) -> &[u64] {
+        let first = (channel * self.num_cols + col) * self.words;
+        self.free.get(first..first + self.words).unwrap_or_default()
     }
 }
 
@@ -305,6 +353,7 @@ pub struct RoutingState {
     pool: RoutePool,
     retry: RetryStamps,
     vpicks: VerticalPicks,
+    tracks: TrackMasks,
     pub(crate) scratch: PassScratch,
 }
 
@@ -332,6 +381,7 @@ impl RoutingState {
             pool: RoutePool::default(),
             retry: RetryStamps::new(arch, netlist.num_nets()),
             vpicks: VerticalPicks::new(arch),
+            tracks: TrackMasks::new(arch),
             scratch: PassScratch::default(),
         }
     }
@@ -533,7 +583,9 @@ impl RoutingState {
         self.recycle_route(shell);
     }
 
-    /// Retires a route, harvesting its allocations into the pools.
+    /// Retires a route, harvesting its allocations into the pools. A
+    /// shell that holds no capacity (every rip-up installs one) is dropped:
+    /// pooling it would crowd out shells whose vectors are worth reusing.
     fn recycle_route(&mut self, mut route: NetRoute) {
         for (_, mut segs) in route.hsegs.drain(..) {
             if self.pool.runs.len() < RUN_POOL_CAP {
@@ -541,7 +593,12 @@ impl RoutingState {
                 self.pool.runs.push(segs);
             }
         }
-        if self.pool.shells.len() < SHELL_POOL_CAP {
+        let holds_capacity = route.vsegs.capacity()
+            + route.hsegs.capacity()
+            + route.pending_channels.capacity()
+            + route.spans.capacity()
+            > 0;
+        if holds_capacity && self.pool.shells.len() < SHELL_POOL_CAP {
             route.vsegs.clear();
             route.vcol = None;
             route.pending_channels.clear();
@@ -631,6 +688,7 @@ impl RoutingState {
                 "horizontal segment {h:?} already owned"
             );
             self.hseg_owner[h.index()] = Some(net);
+            self.tracks.claim(h.index());
         }
         let done = {
             let route = &mut self.routes[i];
@@ -685,15 +743,11 @@ impl RoutingState {
             self.retry.free_vseg(v.index());
             self.vpicks.release(v.index());
         }
-        if !route.hsegs.is_empty() {
-            self.retry.htick += 1;
-        }
-        for (c, segs) in &route.hsegs {
-            self.retry.chan_mod[c.index()] += 1;
+        for (_, segs) in &route.hsegs {
             for h in segs {
                 debug_assert_eq!(self.hseg_owner[h.index()], Some(net));
                 self.hseg_owner[h.index()] = None;
-                self.retry.touch_hseg(h.index());
+                self.tracks.release(h.index());
             }
         }
     }
@@ -714,6 +768,7 @@ impl RoutingState {
                     "horizontal segment {h:?} already owned"
                 );
                 self.hseg_owner[h.index()] = Some(net);
+                self.tracks.claim(h.index());
             }
         }
     }
@@ -744,39 +799,8 @@ impl RoutingState {
                 if self.ud[ci].insert(i) {
                     self.dirty.insert(ci);
                 }
-                self.retry.chan_queue_gen[ci] += 1;
-                self.retry.detail_fail[ci * self.retry.num_nets as usize + i] = 0;
             }
         }
-    }
-
-    /// The current retry-skip key of `channel`: changes whenever the
-    /// channel's horizontal occupancy or `U_D` membership could have made a
-    /// previously doomed detail attempt viable.
-    pub(crate) fn detail_retry_key(&self, channel: ChannelId) -> (u64, u64) {
-        let ci = channel.index();
-        (self.retry.chan_mod[ci], self.retry.chan_queue_gen[ci])
-    }
-
-    /// The retry-skip key recorded at the channel's last failure-bearing
-    /// detail pass, or `(0, 0)` if the channel must be attempted.
-    pub(crate) fn detail_attempt(&self, channel: ChannelId) -> (u64, u64) {
-        self.retry.chan_attempt[channel.index()]
-    }
-
-    /// Records the channel's current retry-skip key after a detail pass
-    /// that left failures, arming the skip. Claims made *during* the pass
-    /// are deliberately included in the recorded key: blocking is monotone
-    /// in occupancy, so a (net, channel) pair that failed mid-pass is still
-    /// blocked under the pass's final occupancy.
-    pub(crate) fn record_detail_attempt(&mut self, channel: ChannelId) {
-        let ci = channel.index();
-        self.retry.chan_attempt[ci] = (self.retry.chan_mod[ci], self.retry.chan_queue_gen[ci]);
-    }
-
-    /// Number of nets queued in `channel`'s `U_D`.
-    pub(crate) fn ud_len(&self, channel: ChannelId) -> usize {
-        self.ud[channel.index()].len()
     }
 
     /// The current vertical-occupancy clock value.
@@ -841,35 +865,23 @@ impl RoutingState {
         self.vpicks.is_free(seg.index())
     }
 
-    /// Whether the (net, channel) detail attempt over columns `lo..=hi` is
-    /// guaranteed to repeat its last failure: no horizontal segment of the
-    /// channel intersecting those columns has been *released* since. The
-    /// track scan's outcome is a function of exactly those segments (a
-    /// covering run's segments all intersect the span), and blocking is
-    /// monotone in occupancy, so the post-failure stamp is exact.
-    pub(crate) fn detail_retry_doomed(
-        &self,
-        net: NetId,
-        channel: ChannelId,
-        lo: usize,
-        hi: usize,
-    ) -> bool {
-        let ci = channel.index();
-        let stamp = self.retry.detail_fail[ci * self.retry.num_nets as usize + net.index()];
-        if stamp == 0 {
-            return false;
-        }
-        let base = ci * self.retry.num_cols as usize;
-        self.retry.hcol_mod[base + lo..=base + hi]
-            .iter()
-            .all(|&m| m <= stamp)
+    /// Word `w` of the tracks of `channel` whose segments are free over
+    /// every column of `lo..=hi` (bit `t` = track `t`; 0 when the span
+    /// leaves the channel).
+    pub(crate) fn free_tracks(&self, channel: ChannelId, lo: usize, hi: usize, w: usize) -> u64 {
+        self.tracks.free_over(channel.index(), lo, hi, w)
     }
 
-    /// Records a failed (net, channel) detail attempt at the current
-    /// horizontal-occupancy clock.
-    pub(crate) fn record_detail_failure(&mut self, net: NetId, channel: ChannelId) {
-        let ci = channel.index();
-        self.retry.detail_fail[ci * self.retry.num_nets as usize + net.index()] = self.retry.htick;
+    /// Mask words per (channel, column) of [`RoutingState::free_tracks`].
+    pub(crate) fn track_words(&self) -> usize {
+        self.tracks.words
+    }
+
+    /// The free-track mask words of (`channel`, `col`) — an independent
+    /// copy of the horizontal owner array that
+    /// [`verify_routing`](crate::verify_routing) cross-checks.
+    pub(crate) fn free_track_words(&self, channel: ChannelId, col: usize) -> &[u64] {
+        self.tracks.at(channel.index(), col)
     }
 }
 
@@ -1308,6 +1320,7 @@ impl RoutingState {
                         });
                     }
                     st.hseg_owner[h] = Some(net);
+                    st.tracks.claim(h);
                 }
             }
             // Install the route and re-derive queue/counter bookkeeping,
@@ -1351,11 +1364,9 @@ impl RoutingState {
             return false;
         };
         self.hseg_owner[idx] = None;
-        // The corruption frees a segment, so invalidate retry stamps like
-        // any release would.
-        self.retry.htick += 1;
-        self.retry.chan_mod[self.retry.hseg_span[idx].0 as usize] += 1;
-        self.retry.touch_hseg(idx);
+        // The corruption frees a segment, so the free-track masks follow
+        // it like any release.
+        self.tracks.release(idx);
         true
     }
 
@@ -1378,9 +1389,7 @@ impl RoutingState {
                 if seen == nth {
                     let h = segs.pop().expect("non-empty run");
                     self.hseg_owner[h.index()] = None;
-                    self.retry.htick += 1;
-                    self.retry.chan_mod[self.retry.hseg_span[h.index()].0 as usize] += 1;
-                    self.retry.touch_hseg(h.index());
+                    self.tracks.release(h.index());
                     return true;
                 }
                 seen += 1;
@@ -1397,7 +1406,7 @@ mod pick_tests {
     use crate::verify::{verify_routing, RouteVerifyError};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use rowfpga_arch::{SegmentationScheme, VerticalScheme};
+    use rowfpga_arch::{HSegId, SegmentationScheme, VerticalScheme};
     use rowfpga_netlist::{generate, GenerateConfig};
     use rowfpga_place::Placement;
 
@@ -1426,6 +1435,66 @@ mod pick_tests {
         best
     }
 
+    /// The track scan the free-track masks replace: every track of the
+    /// channel in order, scored from its segmentation, with ownership
+    /// probed only on a track that would displace the incumbent.
+    fn reference_track_run(
+        st: &RoutingState,
+        arch: &Architecture,
+        channel: ChannelId,
+        lo: usize,
+        hi: usize,
+        cfg: &RouterConfig,
+    ) -> Option<(usize, usize, usize)> {
+        let mut best: Option<(f64, usize, (usize, usize, usize))> = None;
+        for (t, track) in arch.channel_tracks(channel).iter().enumerate() {
+            let Some(i) = track.segment_at(ColId::new(lo)) else {
+                continue;
+            };
+            let Some(j) = track.segment_at(ColId::new(hi)) else {
+                continue;
+            };
+            let segs = &track.segments()[i..=j];
+            let covered = segs[segs.len() - 1].end() - segs[0].start();
+            let wastage = covered - (hi - lo + 1);
+            let count = j - i + 1;
+            let cost = cfg.wastage_weight * wastage as f64 + cfg.segment_weight * count as f64;
+            let better = match &best {
+                None => true,
+                Some((bc, bcount, _)) => {
+                    cost < *bc - 1e-12 || ((cost - *bc).abs() <= 1e-12 && count < *bcount)
+                }
+            };
+            if !better {
+                continue;
+            }
+            if segs.iter().any(|s| st.hseg_owner(s.id()).is_some()) {
+                continue;
+            }
+            best = Some((cost, count, (t, i, j)));
+        }
+        best.map(|(_, _, run)| run)
+    }
+
+    /// The masked track search agrees with the reference scan on every span
+    /// of every channel.
+    fn assert_track_runs_match(st: &RoutingState, arch: &Architecture, when: &str) {
+        let cfg = RouterConfig::default();
+        let cols = arch.geometry().num_cols();
+        for c in 0..arch.geometry().num_channels() {
+            let chan = ChannelId::new(c);
+            for lo in 0..cols {
+                for hi in lo..cols {
+                    assert_eq!(
+                        crate::detail::find_track_run_idx(st, arch, chan, lo, hi, &cfg),
+                        reference_track_run(st, arch, chan, lo, hi, &cfg),
+                        "track run in {chan} over {lo}..={hi}, {when}"
+                    );
+                }
+            }
+        }
+    }
+
     fn assert_picks_match(st: &RoutingState, arch: &Architecture, when: &str) {
         for col in 0..arch.geometry().num_cols() {
             for c in 0..arch.geometry().num_channels() {
@@ -1441,10 +1510,12 @@ mod pick_tests {
                 );
             }
         }
+        assert_track_runs_match(st, arch, when);
     }
 
     /// Random swap → rip-up → reroute → commit/rollback sequences, with the
-    /// picks checked against the reference scan after every step.
+    /// vertical picks and the track runs checked against the reference
+    /// scans after every step.
     fn picks_follow_ownership(arch: &Architecture, nl: &Netlist, seed: u64) {
         let cfg = RouterConfig::default();
         let mut p = Placement::random(arch, nl, seed).unwrap();
@@ -1538,6 +1609,69 @@ mod pick_tests {
             .unwrap();
         assert!(widest_column(&arch) > 64, "two mask words per column");
         picks_follow_ownership(&arch, &nl, 12);
+    }
+
+    #[test]
+    fn track_runs_match_the_scan_across_two_mask_words() {
+        let nl = generate(&GenerateConfig {
+            num_cells: 60,
+            num_inputs: 6,
+            num_outputs: 6,
+            num_seq: 4,
+            ..GenerateConfig::default()
+        });
+        let arch = Architecture::builder()
+            .rows(8)
+            .cols(12)
+            .io_columns(1)
+            .tracks_per_channel(70)
+            .segmentation(SegmentationScheme::ActelLike { seed: 5 })
+            .build()
+            .unwrap();
+        let st = RoutingState::new(&arch, &nl);
+        assert_eq!(st.track_words(), 2, "two mask words per column");
+        picks_follow_ownership(&arch, &nl, 13);
+    }
+
+    #[test]
+    fn verification_catches_a_stale_track_bit() {
+        let nl = generate(&GenerateConfig {
+            num_cells: 50,
+            num_inputs: 6,
+            num_outputs: 6,
+            num_seq: 3,
+            ..GenerateConfig::default()
+        });
+        let arch = Architecture::builder()
+            .rows(5)
+            .cols(14)
+            .io_columns(2)
+            .tracks_per_channel(16)
+            .build()
+            .unwrap();
+        let p = Placement::random(&arch, &nl, 17).unwrap();
+        let mut st = RoutingState::new(&arch, &nl);
+        st.route_incremental(&arch, &nl, &p, &RouterConfig::default());
+        verify_routing(&st, &arch, &nl, &p).unwrap();
+        let owned = (0..arch.num_hsegs())
+            .find(|&h| st.hseg_owner(HSegId::new(h)).is_some())
+            .expect("some horizontal segment claimed");
+        let free = (0..arch.num_hsegs())
+            .find(|&h| st.hseg_owner(HSegId::new(h)).is_none())
+            .expect("some horizontal segment free");
+
+        let mut hides_free = st.clone();
+        hides_free.tracks.claim(free);
+        assert!(matches!(
+            verify_routing(&hides_free, &arch, &nl, &p),
+            Err(RouteVerifyError::OwnershipMismatch { .. })
+        ));
+        let mut offers_owned = st;
+        offers_owned.tracks.release(owned);
+        assert!(matches!(
+            verify_routing(&offers_owned, &arch, &nl, &p),
+            Err(RouteVerifyError::OwnershipMismatch { .. })
+        ));
     }
 
     #[test]

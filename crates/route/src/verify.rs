@@ -2,10 +2,10 @@
 //!
 //! [`verify_routing`] re-derives every net's geometric requirements from the
 //! placement and checks the routing state against them from first
-//! principles: exclusive segment ownership (with the router's vertical free
-//! mask agreeing with it), single-track consecutive runs covering every
-//! span, vertical chains that actually reach every pin channel, and queue
-//! bookkeeping consistent with the route records. The
+//! principles: exclusive segment ownership (with the router's vertical and
+//! horizontal free masks agreeing with it), single-track consecutive runs
+//! covering every span, vertical chains that actually reach every pin
+//! channel, and queue bookkeeping consistent with the route records. The
 //! layout engines never call this in their inner loops — it exists so tests
 //! (and paranoid users) can audit any state the optimizer produces.
 
@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use rowfpga_arch::Architecture;
+use rowfpga_arch::{Architecture, ChannelId, ColId};
 use rowfpga_netlist::{NetId, Netlist};
 use rowfpga_place::Placement;
 
@@ -288,6 +288,34 @@ pub fn verify_routing(
             return Err(RouteVerifyError::OwnershipMismatch {
                 detail: format!("hseg {i}: routes say {from_routes:?}, owner array {recorded:?}"),
             });
+        }
+    }
+    // The detailed router picks tracks from free masks that duplicate the
+    // horizontal owner array; a stale bit would double-book a segment or
+    // hide a free track.
+    let mut expected = Vec::new();
+    for c in 0..arch.geometry().num_channels() {
+        let chan = ChannelId::new(c);
+        for col in 0..arch.geometry().num_cols() {
+            expected.clear();
+            expected.resize(state.free_track_words(chan, col).len(), 0u64);
+            for (t, track) in arch.channel_tracks(chan).iter().enumerate() {
+                let free = track
+                    .segment_at(ColId::new(col))
+                    .and_then(|i| track.segments().get(i))
+                    .is_some_and(|s| state.hseg_owner(s.id()).is_none());
+                if let (true, Some(word)) = (free, expected.get_mut(t / 64)) {
+                    *word |= 1 << (t % 64);
+                }
+            }
+            if state.free_track_words(chan, col) != expected.as_slice() {
+                return Err(RouteVerifyError::OwnershipMismatch {
+                    detail: format!(
+                        "{chan} column {col}: free-track mask {:x?}, owner array {expected:x?}",
+                        state.free_track_words(chan, col)
+                    ),
+                });
+            }
         }
     }
     for i in 0..arch.num_vsegs() {

@@ -19,7 +19,7 @@ pub fn net_sink_delays(
     net: NetId,
 ) -> Vec<f64> {
     let mut scratch = ElmoreScratch::default();
-    let mut out = Vec::new();
+    let mut out = vec![0.0; netlist.net(net).fanout()];
     net_sink_delays_into(
         arch,
         netlist,
@@ -32,9 +32,8 @@ pub fn net_sink_delays(
     out
 }
 
-/// [`net_sink_delays`] writing into a reusable output buffer with reusable
-/// Elmore scratch — the hot-path form. `out` is cleared and refilled in
-/// sink order.
+/// [`net_sink_delays`] writing into a caller's slice, one slot per sink in
+/// sink order, with reusable Elmore scratch — the hot-path form.
 pub fn net_sink_delays_into(
     arch: &Architecture,
     netlist: &Netlist,
@@ -42,14 +41,12 @@ pub fn net_sink_delays_into(
     routing: &RoutingState,
     net: NetId,
     scratch: &mut ElmoreScratch,
-    out: &mut Vec<f64>,
+    out: &mut [f64],
 ) {
     if elmore_sink_delays_into(arch, netlist, placement, routing, net, scratch, out) {
         return;
     }
-    let est = estimate_sink_delay(arch, netlist, placement, net);
-    out.clear();
-    out.resize(netlist.net(net).fanout(), est);
+    out.fill(estimate_sink_delay(arch, netlist, placement, net));
 }
 
 /// Intrinsic delay charged when a signal propagates *through* a cell to its

@@ -69,7 +69,7 @@ pub fn elmore_sink_delays(
     net: NetId,
 ) -> Option<Vec<f64>> {
     let mut scratch = ElmoreScratch::default();
-    let mut out = Vec::new();
+    let mut out = vec![0.0; netlist.net(net).fanout()];
     elmore_sink_delays_into(
         arch,
         netlist,
@@ -82,12 +82,12 @@ pub fn elmore_sink_delays(
     .then_some(out)
 }
 
-/// [`elmore_sink_delays`] writing into a reusable output buffer with
-/// reusable internal scratch — the hot-path form. Returns whether the net
-/// was fully embedded; `out` holds the sink delays (in sink order) exactly
-/// when it returns true, and is untouched otherwise. A net whose route
-/// violates the embedding invariants (a sink channel without a run, a
-/// chain that reaches no routed channel) is reported as not embedded
+/// [`elmore_sink_delays`] writing into a caller's slice, one slot per sink,
+/// with reusable internal scratch — the hot-path form. Returns whether the
+/// net was fully embedded; `out` holds the sink delays (in sink order)
+/// exactly when it returns true, and is untouched otherwise. A net whose
+/// route violates the embedding invariants (a sink channel without a run,
+/// a chain that reaches no routed channel) is reported as not embedded
 /// rather than aborting the process.
 pub fn elmore_sink_delays_into(
     arch: &Architecture,
@@ -96,7 +96,7 @@ pub fn elmore_sink_delays_into(
     routing: &RoutingState,
     net: NetId,
     scratch: &mut ElmoreScratch,
-    out: &mut Vec<f64>,
+    out: &mut [f64],
 ) -> bool {
     let route = routing.route(net);
     if route.state() != NetRouteState::Detailed {
@@ -265,8 +265,9 @@ pub fn elmore_sink_delays_into(
             scratch.t[i] = scratch.t[par] + scratch.nodes[i].r_edge * scratch.down[i];
         }
     }
-    out.clear();
-    out.extend(scratch.sink_nodes.iter().map(|&i| scratch.t[i]));
+    for (slot, &i) in out.iter_mut().zip(&scratch.sink_nodes) {
+        *slot = scratch.t[i];
+    }
     true
 }
 

@@ -17,9 +17,9 @@
 //!   layouts of both flows, including critical-path extraction;
 //! * the **incremental engine** ([`TimingState`]): cells are levelized once
 //!   (connectivity only), and after each move the changed nets' delays are
-//!   recomputed and propagated through a level-bucketed frontier of
-//!   affected cells, swept upward until it empties (paper §3.5 and
-//!   Figure 5), with transactional undo for rejected moves.
+//!   recomputed and propagated through a bitset frontier of affected
+//!   cells over a topological order, swept upward until it empties (paper
+//!   §3.5 and Figure 5), with transactional undo for rejected moves.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,15 +1,16 @@
 // rowfpga-lint: hot-path
 //! The incremental worst-case delay engine (paper §3.5, Figure 5).
 //!
-//! Cells are levelized once (levels depend only on connectivity). After a
-//! move reroutes a set of nets, their interconnect delays are recomputed
-//! and the change is propagated to the path boundaries through a *frontier*
-//! of affected cells, bucketed by level and swept upward: a cell's output
-//! arrival is refreshed from its inputs, and only if it changed are its
-//! fanout cells added. Every fanout edge between non-boundary cells climbs
-//! a level, so each queued cell is processed exactly once, after all of its
-//! drivers. Expansion stops when the sweep passes the highest queued level.
-//! All mutations are journaled so a rejected move can be undone exactly.
+//! Cells are levelized once (levels depend only on connectivity), which
+//! fixes a topological order of the non-boundary cells. After a move
+//! reroutes a set of nets, their interconnect delays are recomputed and the
+//! change is propagated to the path boundaries through a *frontier* of
+//! affected cells: a bitset over positions in that order, swept upward. A
+//! cell's output arrival is refreshed from its inputs, and only if it
+//! changed are its fanout cells added. Every fanout edge between
+//! non-boundary cells lands at a higher position, so each queued cell is
+//! processed exactly once, after all of its drivers. All mutations are
+//! journaled so a rejected move can be undone exactly.
 
 use rowfpga_arch::Architecture;
 use rowfpga_netlist::{CellId, CellKind, CombLoopError, Levels, NetId, Netlist, PinRef};
@@ -20,69 +21,84 @@ use crate::delay::{cell_intrinsic_delay, endpoint_intrinsic_delay, net_sink_dela
 use crate::elmore::ElmoreScratch;
 use crate::sta::is_endpoint;
 
-/// A sink cell that is neither a boundary nor an endpoint: propagation
-/// continues through it.
-const SINK_INTERNAL: u8 = 0;
-/// A path endpoint (primary output / flip-flop data input).
-const SINK_ENDPOINT: u8 = 1;
-/// A boundary that terminates propagation without being an endpoint.
-const SINK_BOUNDARY: u8 = 2;
+/// Tag of an endpoint in an encoded sink list; an untagged entry is the
+/// topological position of a non-boundary sink.
+const ENDPOINT: u32 = 1 << 31;
 
-/// One input connection of a cell: the driving cell, the net, and this
-/// pin's index in the net's sink list — everything `worst_input_arrival`
-/// re-derived per call, resolved once.
+/// One input connection of a cell: the driving cell and the flat index of
+/// this pin's sink delay — everything `worst_input_arrival` re-derived per
+/// call, resolved once.
 #[derive(Clone, Copy, Debug)]
 struct FaninEdge {
     driver: u32,
-    net: u32,
-    sink: u32,
+    delay: u32,
 }
 
 /// Lookup tables derived from connectivity and fabric delay parameters,
-/// both immutable for the lifetime of the state: per-cell fanin edges and
-/// the sink cells of every net and of every cell's driven net, in CSR form,
-/// plus intrinsic delays, levels and sink classification. These turn the
-/// frontier's inner loop into flat array reads.
+/// both immutable for the lifetime of the state: per-cell fanin edges,
+/// intrinsic delays, the topological order, and every net's sinks encoded
+/// for the frontier, in CSR form. These turn the frontier's inner loop into
+/// flat array reads.
 #[derive(Clone, Debug)]
 struct CellTables {
     fanin_start: Vec<u32>,
     fanin_edges: Vec<FaninEdge>,
     intrinsic: Vec<f64>,
     endpoint_intrinsic: Vec<f64>,
-    level: Vec<u32>,
-    sink_class: Vec<u8>,
-    /// CSR offsets into `net_sinks`, one slice per net.
+    /// CSR offsets into the flat sink-delay array, one slice per net.
     net_sink_start: Vec<u32>,
-    /// Each net's sink cells.
-    net_sinks: Vec<u32>,
-    /// CSR offsets into `fanout`, one slice per cell.
-    fanout_start: Vec<u32>,
-    /// Each cell's driven-net sink cells (none for cells without one).
-    fanout: Vec<u32>,
+    /// CSR offsets into `net_push`, one slice per net.
+    net_push_start: Vec<u32>,
+    /// Each net's sinks as the frontier queues them: the position of a
+    /// non-boundary sink, or `ENDPOINT | cell` for a path endpoint (other
+    /// boundaries end propagation and are left out).
+    net_push: Vec<u32>,
+    /// Per topological position, the cell and the net it drives
+    /// (`u32::MAX` for none).
+    order: Vec<(u32, u32)>,
 }
 
 impl CellTables {
     // rowfpga-lint: begin-allow(hot-path) reason=one-time table construction before annealing starts
     fn build(arch: &Architecture, netlist: &Netlist, levels: &Levels) -> CellTables {
         let n = netlist.num_cells();
+        let mut position = vec![u32::MAX; n];
+        for (pos, cell) in levels.order().iter().enumerate() {
+            position[cell.index()] = pos as u32;
+        }
         let mut t = CellTables {
             fanin_start: Vec::with_capacity(n + 1),
             fanin_edges: Vec::new(),
             intrinsic: Vec::with_capacity(n),
             endpoint_intrinsic: Vec::with_capacity(n),
-            level: Vec::with_capacity(n),
-            sink_class: Vec::with_capacity(n),
             net_sink_start: Vec::with_capacity(netlist.num_nets() + 1),
-            net_sinks: Vec::new(),
-            fanout_start: Vec::with_capacity(n + 1),
-            fanout: Vec::new(),
+            net_push_start: Vec::with_capacity(netlist.num_nets() + 1),
+            net_push: Vec::new(),
+            order: levels
+                .order()
+                .iter()
+                .map(|&c| {
+                    let driven = netlist.driven_net(c).map_or(u32::MAX, |n| n.index() as u32);
+                    (c.index() as u32, driven)
+                })
+                .collect(),
         };
+        let mut sinks = 0;
         for (_, net) in netlist.nets() {
-            t.net_sink_start.push(t.net_sinks.len() as u32);
-            t.net_sinks
-                .extend(net.sinks().iter().map(|s| s.cell.index() as u32));
+            t.net_sink_start.push(sinks);
+            sinks += net.sinks().len() as u32;
+            t.net_push_start.push(t.net_push.len() as u32);
+            for s in net.sinks() {
+                let kind = netlist.cell(s.cell).kind();
+                if !kind.is_boundary() {
+                    t.net_push.push(position[s.cell.index()]);
+                } else if is_endpoint(kind) {
+                    t.net_push.push(ENDPOINT | s.cell.index() as u32);
+                }
+            }
         }
-        t.net_sink_start.push(t.net_sinks.len() as u32);
+        t.net_sink_start.push(sinks);
+        t.net_push_start.push(t.net_push.len() as u32);
         for (id, cell) in netlist.cells() {
             let kind = cell.kind();
             t.fanin_start.push(t.fanin_edges.len() as u32);
@@ -102,63 +118,46 @@ impl CellTables {
                     .expect("pin is a sink of its net");
                 t.fanin_edges.push(FaninEdge {
                     driver: nref.driver().cell.index() as u32,
-                    net: net.index() as u32,
-                    sink: sink_idx as u32,
+                    delay: t.net_sink_start[net.index()] + sink_idx as u32,
                 });
             }
             t.intrinsic.push(cell_intrinsic_delay(arch, kind));
             t.endpoint_intrinsic
                 .push(endpoint_intrinsic_delay(arch, kind));
-            t.level.push(levels.level(id));
-            t.sink_class.push(if kind.is_boundary() {
-                if is_endpoint(kind) {
-                    SINK_ENDPOINT
-                } else {
-                    SINK_BOUNDARY
-                }
-            } else {
-                SINK_INTERNAL
-            });
-            t.fanout_start.push(t.fanout.len() as u32);
-            if let Some(net) = netlist.driven_net(id) {
-                t.fanout.extend(
-                    netlist
-                        .net(net)
-                        .sinks()
-                        .iter()
-                        .map(|s| s.cell.index() as u32),
-                );
-            }
         }
         t.fanin_start.push(t.fanin_edges.len() as u32);
-        t.fanout_start.push(t.fanout.len() as u32);
         t
     }
     // rowfpga-lint: end-allow(hot-path)
 
-    /// The sink cells of `net`.
-    fn net_sinks(&self, net: NetId) -> &[u32] {
-        csr_row(&self.net_sink_start, &self.net_sinks, net.index())
+    /// The flat sink-delay range of `net`.
+    fn delay_range(&self, net: NetId) -> std::ops::Range<usize> {
+        let i = net.index();
+        match (self.net_sink_start.get(i), self.net_sink_start.get(i + 1)) {
+            (Some(&lo), Some(&hi)) => lo as usize..hi as usize,
+            _ => 0..0,
+        }
     }
 
-    /// The sink cells of the net `cell` drives.
-    fn fanout(&self, cell: usize) -> &[u32] {
-        csr_row(&self.fanout_start, &self.fanout, cell)
+    /// The encoded sinks of `net` (empty if out of range).
+    fn push_list(&self, net: usize) -> &[u32] {
+        let (Some(&lo), Some(&hi)) = (
+            self.net_push_start.get(net),
+            self.net_push_start.get(net + 1),
+        ) else {
+            return &[];
+        };
+        self.net_push
+            .get(lo as usize..hi as usize)
+            .unwrap_or_default()
     }
-}
-
-/// Row `i` of a CSR table (empty if out of range).
-fn csr_row<'a>(start: &[u32], items: &'a [u32], i: usize) -> &'a [u32] {
-    let (Some(&lo), Some(&hi)) = (start.get(i), start.get(i + 1)) else {
-        return &[];
-    };
-    items.get(lo as usize..hi as usize).unwrap_or_default()
 }
 
 /// Generation-stamped undo log: the first mutation of each quantity inside
 /// a transaction records its prior value in a flat array; per-index stamps
 /// make the first-touch test O(1) with nothing to clear between
-/// transactions.
+/// transactions. A net's old sink delays are copied into one flat buffer,
+/// in the order the nets are listed.
 #[derive(Clone, Debug)]
 struct UndoLog {
     active: bool,
@@ -168,24 +167,21 @@ struct UndoLog {
     net_stamp: Vec<u64>,
     saved_arr: Vec<(CellId, f64)>,
     saved_endpoint: Vec<(CellId, f64)>,
-    saved_nets: Vec<(NetId, Vec<f64>)>,
+    saved_nets: Vec<NetId>,
+    saved_delays: Vec<f64>,
     worst: Option<f64>,
 }
 
-const DELAY_POOL_CAP: usize = 256;
-
-/// The propagation frontier of [`TimingState::update_nets`]: one bucket of
-/// queued cells per level (always emptied by the sweep, so their
-/// allocations persist) and epoch-stamped queued/dirty marks (no per-call
-/// clearing).
+/// The propagation frontier of [`TimingState::update_nets`]: one bit per
+/// position in the topological order (always emptied by the sweep) and
+/// epoch-stamped endpoint marks (no per-call clearing).
 #[derive(Clone, Debug, Default)]
 struct Frontier {
-    buckets: Vec<Vec<u32>>,
-    /// Lowest and highest level queued since the last sweep.
+    bits: Vec<u64>,
+    /// Lowest and highest word set since the last sweep.
     lo: usize,
     hi: usize,
     epoch: u64,
-    queued: Vec<u64>,
     endpoint_dirty: Vec<u64>,
 }
 
@@ -197,73 +193,60 @@ impl Frontier {
         self.hi = 0;
     }
 
-    /// Queues each non-boundary cell of `sinks` in its level's bucket (once
-    /// per propagation) and marks each endpoint among them dirty.
-    fn push_sinks(&mut self, tables: &CellTables, sinks: &[u32]) {
-        for &cell in sinks {
-            let i = cell as usize;
-            match tables.sink_class.get(i) {
-                Some(&SINK_INTERNAL) => {
-                    let (Some(q), Some(&level)) = (self.queued.get_mut(i), tables.level.get(i))
-                    else {
-                        continue;
-                    };
-                    if *q == self.epoch {
-                        continue;
-                    }
-                    *q = self.epoch;
-                    let level = level as usize;
-                    if let Some(bucket) = self.buckets.get_mut(level) {
-                        bucket.push(cell);
-                        self.lo = self.lo.min(level);
-                        self.hi = self.hi.max(level);
-                    }
+    /// Queues every non-boundary sink of an encoded list (a set bit is
+    /// queued once however often it is pushed) and marks every endpoint
+    /// among them dirty.
+    fn push(&mut self, sinks: &[u32]) {
+        for &s in sinks {
+            if s & ENDPOINT != 0 {
+                if let Some(d) = self.endpoint_dirty.get_mut((s & !ENDPOINT) as usize) {
+                    *d = self.epoch;
                 }
-                Some(&SINK_ENDPOINT) => {
-                    if let Some(d) = self.endpoint_dirty.get_mut(i) {
-                        *d = self.epoch;
-                    }
-                }
-                _ => {}
+                continue;
+            }
+            let w = s as usize / 64;
+            if let Some(word) = self.bits.get_mut(w) {
+                *word |= 1 << (s % 64);
+                self.lo = self.lo.min(w);
+                self.hi = self.hi.max(w);
             }
         }
     }
 
-    /// Takes the cells queued at `level` out of its bucket.
-    fn take_level(&mut self, level: usize) -> Vec<u32> {
-        self.buckets
-            .get_mut(level)
-            .map(std::mem::take)
-            .unwrap_or_default()
-    }
-
-    /// Returns a swept bucket's (cleared) allocation.
-    fn put_level(&mut self, level: usize, mut cells: Vec<u32>) {
-        if let Some(bucket) = self.buckets.get_mut(level) {
-            cells.clear();
-            *bucket = cells;
+    /// Takes the lowest queued position at or above word `w`, advancing
+    /// `w` past emptied words; `None` once the sweep passes the highest
+    /// word set.
+    fn pop(&mut self, w: &mut usize) -> Option<usize> {
+        while *w <= self.hi {
+            let word = self.bits.get_mut(*w)?;
+            if *word != 0 {
+                let bit = word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                return Some(*w * 64 + bit);
+            }
+            *w += 1;
         }
+        None
     }
 }
 
-/// Reusable buffers for [`TimingState::update_nets`]: the frontier, a pool
-/// of retired sink-delay vectors and the Elmore evaluation scratch.
+/// Reusable buffers for [`TimingState::update_nets`]: the frontier and the
+/// Elmore evaluation scratch.
 #[derive(Clone, Debug, Default)]
 struct UpdateScratch {
     frontier: Frontier,
-    delay_pool: Vec<Vec<f64>>,
     elmore: ElmoreScratch,
 }
 
 /// Incrementally maintained timing state: per-cell arrivals, per-net sink
-/// delays and the worst endpoint arrival (the cost term `T`).
+/// delays (one flat array, sliced per net) and the worst endpoint arrival
+/// (the cost term `T`).
 #[derive(Clone, Debug)]
 pub struct TimingState {
-    levels: Levels,
     tables: CellTables,
     arr: Vec<f64>,
     endpoint_arr: Vec<f64>,
-    net_delays: Vec<Vec<f64>>,
+    delays: Vec<f64>,
     endpoints: Vec<CellId>,
     worst: f64,
     undo: UndoLog,
@@ -289,18 +272,16 @@ impl TimingState {
     ) -> Result<TimingState, CombLoopError> {
         let levels = Levels::compute(netlist)?;
         let tables = CellTables::build(arch, netlist, &levels);
-        let num_levels = levels.max_level() as usize + 1;
+        let num_sinks = tables.net_sink_start.last().map_or(0, |&n| n as usize);
         let endpoints = netlist
             .cells()
             .filter(|(_, c)| is_endpoint(c.kind()))
             .map(|(id, _)| id)
             .collect();
         let mut state = TimingState {
-            levels,
-            tables,
             arr: vec![0.0; netlist.num_cells()],
             endpoint_arr: vec![f64::NEG_INFINITY; netlist.num_cells()],
-            net_delays: vec![Vec::new(); netlist.num_nets()],
+            delays: vec![0.0; num_sinks],
             endpoints,
             worst: 0.0,
             undo: UndoLog {
@@ -312,17 +293,18 @@ impl TimingState {
                 saved_arr: Vec::new(),
                 saved_endpoint: Vec::new(),
                 saved_nets: Vec::new(),
+                saved_delays: Vec::new(),
                 worst: None,
             },
             scratch: UpdateScratch {
                 frontier: Frontier {
-                    buckets: vec![Vec::new(); num_levels],
-                    queued: vec![0; netlist.num_cells()],
+                    bits: vec![0; tables.order.len().div_ceil(64)],
                     endpoint_dirty: vec![0; netlist.num_cells()],
                     ..Frontier::default()
                 },
                 ..UpdateScratch::default()
             },
+            tables,
             last_frontier: 0,
         };
         state.full_analyze(arch, netlist, placement, routing);
@@ -344,6 +326,7 @@ impl TimingState {
             "full analysis inside a transaction is not supported"
         );
         for (id, _) in netlist.nets() {
+            let range = self.tables.delay_range(id);
             net_sink_delays_into(
                 arch,
                 netlist,
@@ -351,7 +334,7 @@ impl TimingState {
                 routing,
                 id,
                 &mut self.scratch.elmore,
-                &mut self.net_delays[id.index()],
+                &mut self.delays[range],
             );
         }
         for (id, cell) in netlist.cells() {
@@ -360,7 +343,11 @@ impl TimingState {
                 _ => 0.0,
             };
         }
-        for &cell in self.levels.order() {
+        for pos in 0..self.tables.order.len() {
+            let Some(&(cell, _)) = self.tables.order.get(pos) else {
+                continue;
+            };
+            let cell = CellId::new(cell as usize);
             self.arr[cell.index()] =
                 self.worst_fanin(cell).unwrap_or(0.0) + self.tables.intrinsic[cell.index()];
         }
@@ -381,7 +368,7 @@ impl TimingState {
         let hi = self.tables.fanin_start[cell.index() + 1] as usize;
         let mut best: Option<f64> = None;
         for e in &self.tables.fanin_edges[lo..hi] {
-            let a = self.arr[e.driver as usize] + self.net_delays[e.net as usize][e.sink as usize];
+            let a = self.arr[e.driver as usize] + self.delays[e.delay as usize];
             if best.is_none_or(|b| a > b) {
                 best = Some(a);
             }
@@ -401,7 +388,7 @@ impl TimingState {
 
     /// The interconnect delays currently charged to a net's sinks.
     pub fn net_delays(&self, net: NetId) -> &[f64] {
-        &self.net_delays[net.index()]
+        &self.delays[self.tables.delay_range(net)]
     }
 
     /// Every cell's output arrival time, indexed by cell id — the dense
@@ -430,6 +417,7 @@ impl TimingState {
             self.undo.saved_arr.is_empty()
                 && self.undo.saved_endpoint.is_empty()
                 && self.undo.saved_nets.is_empty()
+                && self.undo.saved_delays.is_empty()
                 && self.undo.worst.is_none()
         );
         self.undo.active = true;
@@ -446,12 +434,9 @@ impl TimingState {
         self.undo.active = false;
         self.undo.saved_arr.clear();
         self.undo.saved_endpoint.clear();
+        self.undo.saved_nets.clear();
+        self.undo.saved_delays.clear();
         self.undo.worst = None;
-        let mut saved = std::mem::take(&mut self.undo.saved_nets);
-        for (_, old) in saved.drain(..) {
-            self.recycle_delays(old);
-        }
-        self.undo.saved_nets = saved;
     }
 
     /// Restores the state at [`TimingState::begin_txn`].
@@ -470,28 +455,25 @@ impl TimingState {
             self.endpoint_arr[cell.index()] = v;
         }
         self.undo.saved_endpoint.clear();
-        let mut saved = std::mem::take(&mut self.undo.saved_nets);
-        for (net, old) in saved.drain(..) {
-            let current = std::mem::replace(&mut self.net_delays[net.index()], old);
-            self.recycle_delays(current);
+        let mut saved = self.undo.saved_delays.as_slice();
+        for &net in &self.undo.saved_nets {
+            let range = self.tables.delay_range(net);
+            let (old, rest) = saved.split_at(range.len().min(saved.len()));
+            if let Some(current) = self.delays.get_mut(range) {
+                current.copy_from_slice(old);
+            }
+            saved = rest;
         }
-        self.undo.saved_nets = saved;
+        self.undo.saved_nets.clear();
+        self.undo.saved_delays.clear();
         if let Some(w) = self.undo.worst.take() {
             self.worst = w;
         }
     }
 
-    /// Retires a sink-delay vector into the pool for reuse.
-    fn recycle_delays(&mut self, mut v: Vec<f64>) {
-        if self.scratch.delay_pool.len() < DELAY_POOL_CAP {
-            v.clear();
-            self.scratch.delay_pool.push(v);
-        }
-    }
-
     /// Recomputes the delays of `changed` nets and propagates arrivals to
-    /// the boundaries through a level-bucketed frontier. Returns the new
-    /// worst delay.
+    /// the boundaries through the topological bitset frontier. Returns the
+    /// new worst delay.
     pub fn update_nets(
         &mut self,
         arch: &Architecture,
@@ -509,6 +491,9 @@ impl TimingState {
 
         for &net in changed {
             self.save_net(net);
+            let Some(delays) = self.delays.get_mut(self.tables.delay_range(net)) else {
+                continue;
+            };
             net_sink_delays_into(
                 arch,
                 netlist,
@@ -516,42 +501,38 @@ impl TimingState {
                 routing,
                 net,
                 &mut self.scratch.elmore,
-                &mut self.net_delays[net.index()],
+                delays,
             );
             self.scratch
                 .frontier
-                .push_sinks(&self.tables, self.tables.net_sinks(net));
+                .push(self.tables.push_list(net.index()));
         }
 
-        // Sweep the levels upward. A cell's fanout sits at strictly higher
-        // levels, so the bucket being swept never grows and every cell sees
-        // final arrivals on all of its inputs; the order within a level is
-        // irrelevant, since same-level cells never feed each other.
-        let mut level = self.scratch.frontier.lo;
-        while level <= self.scratch.frontier.hi {
-            let cells = self.scratch.frontier.take_level(level);
-            for &cell in &cells {
-                self.last_frontier += 1;
-                let i = cell as usize;
-                let (Some(&intrinsic), Some(&old)) =
-                    (self.tables.intrinsic.get(i), self.arr.get(i))
-                else {
-                    continue;
-                };
-                let new_arr = self.worst_fanin(CellId::new(i)).unwrap_or(0.0) + intrinsic;
-                if new_arr == old {
-                    continue;
-                }
-                self.save_arr(CellId::new(i));
-                if let Some(a) = self.arr.get_mut(i) {
-                    *a = new_arr;
-                }
-                self.scratch
-                    .frontier
-                    .push_sinks(&self.tables, self.tables.fanout(i));
+        // Sweep the positions upward. A cell's fanout sits at strictly
+        // higher positions, so every cell sees final arrivals on all of its
+        // inputs, and a position is never set again once passed.
+        let mut w = self.scratch.frontier.lo;
+        while let Some(pos) = self.scratch.frontier.pop(&mut w) {
+            self.last_frontier += 1;
+            let Some(&(cell, driven)) = self.tables.order.get(pos) else {
+                continue;
+            };
+            let i = cell as usize;
+            let (Some(&intrinsic), Some(&old)) = (self.tables.intrinsic.get(i), self.arr.get(i))
+            else {
+                continue;
+            };
+            let new_arr = self.worst_fanin(CellId::new(i)).unwrap_or(0.0) + intrinsic;
+            if new_arr == old {
+                continue;
             }
-            self.scratch.frontier.put_level(level, cells);
-            level += 1;
+            self.save_arr(CellId::new(i));
+            if let Some(a) = self.arr.get_mut(i) {
+                *a = new_arr;
+            }
+            self.scratch
+                .frontier
+                .push(self.tables.push_list(driven as usize));
         }
 
         let epoch = self.scratch.frontier.epoch;
@@ -601,9 +582,8 @@ impl TimingState {
         self.undo.saved_endpoint.push((cell, self.endpoint_arr[i]));
     }
 
-    /// Journals a net's current sink delays on first touch by *moving* the
-    /// vector into the undo log and installing a pooled replacement for the
-    /// caller to fill — no element copying either way.
+    /// Journals a net's current sink delays on first touch, copying its
+    /// slice onto the end of the flat undo buffer.
     fn save_net(&mut self, net: NetId) {
         if !self.undo.active {
             return;
@@ -613,9 +593,12 @@ impl TimingState {
             return;
         }
         self.undo.net_stamp[i] = self.undo.generation;
-        let fresh = self.scratch.delay_pool.pop().unwrap_or_default();
-        let old = std::mem::replace(&mut self.net_delays[i], fresh);
-        self.undo.saved_nets.push((net, old));
+        self.undo.saved_nets.push(net);
+        let old = self
+            .delays
+            .get(self.tables.delay_range(net))
+            .unwrap_or_default();
+        self.undo.saved_delays.extend_from_slice(old);
     }
 
     fn save_worst(&mut self) {

@@ -13,6 +13,7 @@
 //! the oracle suite catches every one — the harness's own end-to-end test.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -102,8 +103,14 @@ impl FuzzReport {
     }
 }
 
+/// A fresh scratch directory for one crash-window check. The pid keeps
+/// processes apart and a process-wide counter keeps concurrent calls apart:
+/// two campaigns on parallel test threads may check the same seed, and so
+/// the same checkpoint file name.
 fn crash_window_scratch() -> PathBuf {
-    std::env::temp_dir().join(format!("rowfpga-crash-scratch-{}", std::process::id()))
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("rowfpga-crash-scratch-{}-{n}", std::process::id()))
 }
 
 fn mix(seed: u64, i: u64) -> u64 {
@@ -288,13 +295,15 @@ pub fn run_fuzz(cfg: &FuzzConfig, mut log: impl FnMut(&str)) -> FuzzReport {
             let scratch = crash_window_scratch();
             let problem = build_problem(&case.arch, &case.netlist, case_seed);
             if let Ok(problem) = problem {
-                if let Err(f) = oracle::checkpoint_crash_windows(
+                let checked = oracle::checkpoint_crash_windows(
                     &case.arch,
                     &case.netlist,
                     &problem,
                     case_seed,
                     &scratch,
-                ) {
+                );
+                std::fs::remove_dir_all(&scratch).ok();
+                if let Err(f) = checked {
                     log(&format!("iter {i}: FAIL: {f}"));
                     report.failures.push(FuzzFailure {
                         iteration: i,
@@ -482,6 +491,7 @@ pub fn run_fuzz_with_faults(cfg: &FuzzConfig, mut log: impl FnMut(&str)) -> Faul
             )
             .map_err(|f| f.to_string())
         });
+    std::fs::remove_dir_all(&scratch).ok();
     for fault in ["CheckpointShortWrite", "CheckpointSkipRename"] {
         let trial = FaultTrial {
             fault: fault.to_string(),
